@@ -27,12 +27,11 @@
 //! * [`fleet`] — cluster-level checks over `avfs-fleet`: job
 //!   conservation through admission/shedding/drain, per-node safety
 //!   under cluster-induced load, aggregate consistency, and the
-//!   byte-identical-across-worker-counts determinism contract.
+//!   run-to-run byte-identical determinism contract.
 //! * [`model`] + [`statespace`] + [`shrink`] — a bounded explicit-state
 //!   model checker over the Daemon↔Chip↔Sched shared state: exhaustive
 //!   enumeration of every event interleaving up to a depth bound, with
-//!   dynamic partial-order reduction (verified-commuting pairs explored
-//!   once) and a state-fingerprint cache. Where [`race`] *samples*
+//!   a state-fingerprint cache. Where [`race`] *samples*
 //!   schedules, [`model`] *enumerates* them — a clean run at depth `d`
 //!   is a proof over every reachable behaviour of length ≤ `d`.
 //!   Violating schedules are ddmin-shrunk to a 1-minimal, seedlessly

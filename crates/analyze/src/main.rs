@@ -44,7 +44,7 @@ fn usage() {
          \x20                            seeded interleaving exploration\n\
          \x20 fleet [--seed S]           cluster-level conservation/safety checks\n\
          \x20 model [--depth N] [--max-procs N]\n\
-         \x20                            exhaustive bounded model checking with DPOR\n\
+         \x20                            exhaustive bounded model checking\n\
          \x20 prove-policy [--measured] [--seed S]\n\
          \x20                            enumerate the full voltage-policy domain\n\
          \x20                            (--measured proves campaign-compiled tables)\n\
@@ -310,11 +310,7 @@ fn counterexample_json(cx: &model::Counterexample) -> String {
 }
 
 fn run_model(format: Format, depth: usize, max_procs: usize) -> Outcome {
-    let opts = model::ModelOptions {
-        depth,
-        max_procs,
-        dpor: true,
-    };
+    let opts = model::ModelOptions { depth, max_procs };
     let report = model::check(&opts);
     if format == Format::Text {
         println!("bounded model check, depth {}:", report.depth);
@@ -333,14 +329,11 @@ fn run_model(format: Format, depth: usize, max_procs: usize) -> Outcome {
         .iter()
         .map(|p| {
             format!(
-                "{{\"name\":{},\"states\":{},\"transitions\":{},\"cache_hits\":{},\"dpor_skips\":{},\"dpor_pairs\":{},\"reduction_factor\":{:.3},\"bound_hits\":{},\"checks\":{},\"registry_violations\":{},\"counterexample\":{}}}",
+                "{{\"name\":{},\"states\":{},\"transitions\":{},\"cache_hits\":{},\"bound_hits\":{},\"checks\":{},\"registry_violations\":{},\"counterexample\":{}}}",
                 string(&p.name),
                 p.states,
                 p.transitions,
                 p.cache_hits,
-                p.dpor_skips,
-                p.dpor_pairs,
-                p.reduction_factor(),
                 p.bound_hits,
                 p.checks,
                 string_array(&p.registry_violations),

@@ -10,24 +10,12 @@
 //! schedules, this is exhaustive within the bound: zero violations here
 //! means *no* reachable torn state exists in ≤ depth events, period.
 //!
-//! Two reductions keep the frontier tractable without giving up
-//! exhaustiveness:
-//!
-//! * **State-hash cache.** States are fingerprinted (rail mV, frequency
-//!   program, masks, recovery state — [`crate::statespace::World::fingerprint`])
-//!   and a revisited state's subtree is pruned: every continuation from
-//!   an equal state is already covered.
-//! * **Dynamic partial-order reduction (sleep sets).** After exploring
-//!   sibling `e_i`, a later sibling `e_j`'s child carries `e_i` in its
-//!   sleep set when the two *verifiably commute* at this state: their
-//!   write footprints are disjoint (no global rail/governor write,
-//!   disjoint PMD-step and core-mask sets, disjoint pids — e.g. per-PMD
-//!   frequency steps on different PMDs, pins of disjoint core sets) AND
-//!   executing both orders reaches the same fingerprint with no
-//!   violation. The verification itself applies the commuted pair under
-//!   full interleaved checks, so the skipped execution's intermediate
-//!   states were checked before being skipped — the reduction is sound
-//!   for the interleaved properties, not just for end states.
+//! One reduction keeps the frontier tractable without giving up
+//! exhaustiveness: a **state-hash cache**. States are fingerprinted
+//! (rail mV, frequency program, masks, recovery state —
+//! [`crate::statespace::World::fingerprint`]) and a revisited state's
+//! subtree is pruned: every continuation from an equal state is already
+//! covered.
 //!
 //! On a violation the exploration stops and the offending schedule is
 //! handed to the delta-debugging shrinker ([`crate::shrink`]), which
@@ -48,9 +36,6 @@ pub struct ModelOptions {
     pub depth: usize,
     /// Maximum concurrently live processes (branching bound).
     pub max_procs: usize,
-    /// Enable sleep-set DPOR (disable to cross-check that the reduction
-    /// drops no states).
-    pub dpor: bool,
 }
 
 impl Default for ModelOptions {
@@ -58,7 +43,6 @@ impl Default for ModelOptions {
         ModelOptions {
             depth: 6,
             max_procs: 2,
-            dpor: true,
         }
     }
 }
@@ -104,10 +88,6 @@ pub struct PresetModelReport {
     /// Transitions whose target state was already cached (subtree
     /// pruned).
     pub cache_hits: u64,
-    /// Sibling executions suppressed by sleep sets.
-    pub dpor_skips: u64,
-    /// Commuting pairs verified (both orders executed and compared).
-    pub dpor_pairs: u64,
     /// Paths cut by the depth bound.
     pub bound_hits: u64,
     /// Interleaved invariant evaluations.
@@ -124,30 +104,17 @@ impl PresetModelReport {
     pub fn is_clean(&self) -> bool {
         self.counterexample.is_none() && self.registry_violations.is_empty()
     }
-
-    /// Executed-plus-skipped over executed: how much sibling work the
-    /// sleep sets removed (1.0 = none).
-    pub fn reduction_factor(&self) -> f64 {
-        if self.transitions == 0 {
-            return 1.0;
-        }
-        (self.transitions + self.dpor_skips) as f64 / self.transitions as f64
-    }
 }
 
 impl fmt::Display for PresetModelReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: {} states, {} transitions, {} cache-pruned, {} DPOR-skipped \
-             ({} commuting pairs, reduction {:.2}x), {} bound cutoffs, {} checks, {}",
+            "{}: {} states, {} transitions, {} cache-pruned, {} bound cutoffs, {} checks, {}",
             self.name,
             self.states,
             self.transitions,
             self.cache_hits,
-            self.dpor_skips,
-            self.dpor_pairs,
-            self.reduction_factor(),
             self.bound_hits,
             self.checks,
             if self.is_clean() {
@@ -185,13 +152,6 @@ struct Explorer {
     counterexample_path: Option<Vec<ModelEvent>>,
 }
 
-/// One executed sibling, kept for DPOR pair verification.
-struct Sibling {
-    event: ModelEvent,
-    world: World,
-    step: StepReport,
-}
-
 impl Explorer {
     fn new(name: &str, opts: ModelOptions) -> Self {
         Explorer {
@@ -209,7 +169,7 @@ impl Explorer {
         self.visited.insert(root.fingerprint());
         self.report.states += 1;
         let mut path = Vec::new();
-        self.dfs(root, 0, &[], &mut path);
+        self.dfs(root, 0, &mut path);
     }
 
     fn account(&mut self, step: &StepReport) {
@@ -217,50 +177,7 @@ impl Explorer {
         self.report.checks += step.checks;
     }
 
-    /// Verified commutation at `base`: disjoint footprints (fast filter)
-    /// and both orders reach the same fingerprint, with the cross
-    /// applications themselves violation-free under full interleaved
-    /// checks. Returns false — dependent — on any doubt, which only
-    /// costs exploration work, never soundness.
-    fn independent(
-        &mut self,
-        a: &Sibling,
-        b_event: ModelEvent,
-        b_world: &World,
-        b_step: &StepReport,
-    ) -> bool {
-        if !a.step.footprint_disjoint(b_step) {
-            return false;
-        }
-        // a then b.
-        let mut ab = a.world.clone();
-        let Some(rab) = ab.apply_event(b_event) else {
-            return false;
-        };
-        self.report.checks += rab.checks;
-        if !rab.violations.is_empty() {
-            return false;
-        }
-        // b then a.
-        let mut ba = b_world.clone();
-        let Some(rba) = ba.apply_event(a.event) else {
-            return false;
-        };
-        self.report.checks += rba.checks;
-        if !rba.violations.is_empty() {
-            return false;
-        }
-        self.report.dpor_pairs += 1;
-        ab.fingerprint() == ba.fingerprint()
-    }
-
-    fn dfs(
-        &mut self,
-        world: &World,
-        depth: usize,
-        sleep: &[ModelEvent],
-        path: &mut Vec<ModelEvent>,
-    ) {
+    fn dfs(&mut self, world: &World, depth: usize, path: &mut Vec<ModelEvent>) {
         if self.counterexample_path.is_some() {
             return;
         }
@@ -268,14 +185,9 @@ impl Explorer {
             self.report.bound_hits += 1;
             return;
         }
-        let mut explored: Vec<Sibling> = Vec::new();
         for event in world.enabled_events() {
             if self.counterexample_path.is_some() {
                 return;
-            }
-            if sleep.contains(&event) {
-                self.report.dpor_skips += 1;
-                continue;
             }
             let mut child = world.clone();
             let Some(step) = child.apply_event(event) else {
@@ -294,26 +206,13 @@ impl Explorer {
             } else {
                 self.visited.insert(fingerprint);
                 self.report.states += 1;
-                let mut child_sleep: Vec<ModelEvent> = Vec::new();
-                if self.opts.dpor {
-                    for sibling in &explored {
-                        if self.independent(sibling, event, &child, &step) {
-                            child_sleep.push(sibling.event);
-                        }
-                    }
-                }
                 path.push(event);
-                self.dfs(&child, depth + 1, &child_sleep, path);
+                self.dfs(&child, depth + 1, path);
                 path.pop();
                 if self.counterexample_path.is_some() {
                     return;
                 }
             }
-            explored.push(Sibling {
-                event,
-                world: child,
-                step,
-            });
         }
     }
 }
@@ -399,29 +298,6 @@ mod tests {
             assert_eq!(pa.states, pb.states);
             assert_eq!(pa.transitions, pb.transitions);
             assert_eq!(pa.cache_hits, pb.cache_hits);
-            assert_eq!(pa.dpor_skips, pb.dpor_skips);
-        }
-    }
-
-    #[test]
-    fn dpor_drops_work_but_never_states() {
-        // Depth 5: deep enough that commuting pairs exist *below* the
-        // bound edge on both presets, so their sleep entries get a
-        // chance to suppress work.
-        let with = check(&opts(5));
-        let without = check(&ModelOptions {
-            depth: 5,
-            dpor: false,
-            ..ModelOptions::default()
-        });
-        for (a, b) in with.presets.iter().zip(&without.presets) {
-            // Sleep-set skips only suppress transitions into states that
-            // the commuted order already covered: the distinct-state set
-            // must be identical.
-            assert_eq!(a.states, b.states, "{} vs {}", a, b);
-            assert!(a.dpor_skips > 0, "DPOR found no commuting pairs: {a}");
-            assert_eq!(b.dpor_skips, 0);
-            assert!(a.reduction_factor() > 1.0);
         }
     }
 }

@@ -14,10 +14,10 @@
 //!   action of the daemon's plan is applied one atomic write at a time
 //!   and the three torn-state properties are evaluated at every boundary,
 //!   exactly as in the race explorer.
-//! * [`World::fingerprint`] — the state-hash the checker's cache and the
-//!   DPOR commutation check key on: rail mV, per-PMD frequency program,
-//!   masks, governor, and the daemon's control state (recovery machine,
-//!   droop guard, class tracker). Observational state (counters,
+//! * [`World::fingerprint`] — the state-hash the checker's cache keys
+//!   on: rail mV, per-PMD frequency program, masks, governor, and the
+//!   daemon's control state (recovery machine, droop guard, class
+//!   tracker). Observational state (counters,
 //!   telemetry) is deliberately excluded: two worlds with equal
 //!   fingerprints transition identically under equal events.
 //!
@@ -142,9 +142,8 @@ impl Proc {
     }
 }
 
-/// What one event application did: check/action accounting, any
-/// violations found at an interleaving boundary, and the write
-/// *footprint* the DPOR independence filter keys on.
+/// What one event application did: check/action accounting and any
+/// violations found at an interleaving boundary.
 #[derive(Debug, Clone, Default)]
 pub struct StepReport {
     /// Atomic actions applied.
@@ -153,39 +152,6 @@ pub struct StepReport {
     pub checks: u64,
     /// Torn-state property violations, in discovery order.
     pub violations: Vec<String>,
-    /// The step issued at least one `SetVoltage` (the rail is global:
-    /// conflicts with everything).
-    pub wrote_voltage: bool,
-    /// The step switched governor mode (global: conflicts with
-    /// everything).
-    pub wrote_governor: bool,
-    /// Bitmask of PMD indices whose frequency step was written.
-    pub pmd_mask: u64,
-    /// Union of core bits written by pins plus the prior masks of every
-    /// pinned or removed process.
-    pub core_mask: u64,
-    /// Bitmask (pid mod 64) of processes created, removed, pinned, or
-    /// re-classified. Pids stay far below 64 within any explored bound.
-    pub pid_mask: u64,
-    /// The step allocated a fresh pid (arrivals order-conflict with each
-    /// other: pid labels differ across orders).
-    pub arrived: bool,
-}
-
-impl StepReport {
-    /// Conservative write-footprint disjointness: the *necessary* filter
-    /// before the checker's exact commutation test. Anything touching
-    /// the global rail or governor conflicts with everything.
-    pub fn footprint_disjoint(&self, other: &StepReport) -> bool {
-        !self.wrote_voltage
-            && !other.wrote_voltage
-            && !self.wrote_governor
-            && !other.wrote_governor
-            && self.pmd_mask & other.pmd_mask == 0
-            && self.core_mask & other.core_mask == 0
-            && self.pid_mask & other.pid_mask == 0
-            && !(self.arrived && other.arrived)
-    }
 }
 
 /// The mirrored system the checker explores: a real chip, a real daemon,
@@ -304,8 +270,6 @@ impl World {
                     assigned: CoreSet::EMPTY,
                     class,
                 });
-                report.arrived = true;
-                report.pid_mask |= 1u64 << (pid.0 % 64);
                 SysEvent::ProcessArrived(pid)
             }
             ModelEvent::Finish { slot } => {
@@ -313,8 +277,6 @@ impl World {
                     return None;
                 }
                 let p = self.procs.remove(slot);
-                report.pid_mask |= 1u64 << (p.pid.0 % 64);
-                report.core_mask |= p.assigned.bits();
                 SysEvent::ProcessFinished(p.pid)
             }
             ModelEvent::Flip { slot } => {
@@ -323,7 +285,6 @@ impl World {
                     IntensityClass::CpuIntensive => IntensityClass::MemoryIntensive,
                     IntensityClass::MemoryIntensive => IntensityClass::CpuIntensive,
                 };
-                report.pid_mask |= 1u64 << (p.pid.0 % 64);
                 let (pid, class) = (p.pid, p.class);
                 SysEvent::ClassChanged(pid, class)
             }
@@ -358,27 +319,22 @@ impl World {
         }
     }
 
-    /// Applies one atomic action — one mailbox/CPPC/affinity write —
-    /// recording its write footprint.
+    /// Applies one atomic action — one mailbox/CPPC/affinity write.
     fn apply_action(&mut self, action: Action, report: &mut StepReport) -> Option<FaultNotice> {
         report.actions += 1;
         match action {
-            Action::SetVoltage(mv) => {
-                report.wrote_voltage = true;
-                match self.chip.set_voltage(mv) {
-                    Ok(()) => None,
-                    Err(ChipError::MailboxRefused { .. }) => Some(FaultNotice::VoltageRefused(mv)),
-                    Err(ChipError::MailboxDropped) => Some(FaultNotice::VoltageDropped(mv)),
-                    Err(e) => {
-                        report
-                            .violations
-                            .push(format!("daemon requested an unprogrammable voltage: {e}"));
-                        None
-                    }
+            Action::SetVoltage(mv) => match self.chip.set_voltage(mv) {
+                Ok(()) => None,
+                Err(ChipError::MailboxRefused { .. }) => Some(FaultNotice::VoltageRefused(mv)),
+                Err(ChipError::MailboxDropped) => Some(FaultNotice::VoltageDropped(mv)),
+                Err(e) => {
+                    report
+                        .violations
+                        .push(format!("daemon requested an unprogrammable voltage: {e}"));
+                    None
                 }
-            }
+            },
             Action::SetPmdStep(pmd, step) => {
-                report.pmd_mask |= 1u64 << (pmd.index() % 64);
                 if self.governor == GovernorMode::Userspace {
                     if let Err(e) = self.chip.set_pmd_freq_step(pmd, step) {
                         report
@@ -389,17 +345,13 @@ impl World {
                 None
             }
             Action::PinProcess(pid, cores) => {
-                report.pid_mask |= 1u64 << (pid.0 % 64);
-                report.core_mask |= cores.bits();
                 if let Some(p) = self.procs.iter_mut().find(|p| p.pid == pid) {
-                    report.core_mask |= p.assigned.bits();
                     p.assigned = cores;
                     p.state = ProcessState::Running;
                 }
                 None
             }
             Action::SetGovernor(mode) => {
-                report.wrote_governor = true;
                 self.governor = mode;
                 None
             }
@@ -581,26 +533,5 @@ mod tests {
                 assert!(r.violations.is_empty(), "{ev}: {:?}", r.violations);
             }
         }
-    }
-
-    #[test]
-    fn footprint_disjointness_is_conservative_about_globals() {
-        let voltage = StepReport {
-            wrote_voltage: true,
-            ..StepReport::default()
-        };
-        let pin = StepReport {
-            core_mask: 0b11,
-            pid_mask: 0b10,
-            ..StepReport::default()
-        };
-        let other_pin = StepReport {
-            core_mask: 0b1100,
-            pid_mask: 0b100,
-            ..StepReport::default()
-        };
-        assert!(!voltage.footprint_disjoint(&pin));
-        assert!(pin.footprint_disjoint(&other_pin));
-        assert!(!pin.footprint_disjoint(&pin));
     }
 }

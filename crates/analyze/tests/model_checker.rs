@@ -26,13 +26,10 @@ fn exhaustive_depth_six_is_clean_on_both_presets() {
     let report = check(&ModelOptions {
         depth: 6,
         max_procs: 2,
-        dpor: true,
     });
     assert!(report.is_clean());
     for p in &report.presets {
         assert!(p.states > 50, "{p}");
-        assert!(p.dpor_skips > 0, "{p}");
-        assert!(p.reduction_factor() > 1.0, "{p}");
         assert!(p.cache_hits > 0, "{p}");
     }
 }
@@ -46,7 +43,6 @@ fn broken_ordering_yields_a_short_replayable_counterexample() {
         &ModelOptions {
             depth: 6,
             max_procs: 2,
-            dpor: true,
         },
     );
     let cx = report

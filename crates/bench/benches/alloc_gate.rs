@@ -5,8 +5,8 @@
 //! classifications settled, scratch buffers and the calendar queue at
 //! their working capacity — and then asserts that a multi-second window
 //! of event-loop stepping performs **zero heap allocations**: every
-//! slice boundary, monitor tick, replan (decision-cache hit), and
-//! governor pass runs entirely out of recycled buffers.
+//! slice boundary, monitor tick, and governor pass runs entirely out of
+//! recycled buffers.
 //!
 //! The power-trace sampler is set to a cadence beyond the window
 //! because its output series is an unbounded accumulator (amortized
@@ -85,8 +85,8 @@ fn main() {
         system.inject_arrival(&mut st, &mut daemon, bench, threads, 500.0);
     }
 
-    // Warm-up: settle admissions, classifications, the decision cache,
-    // and every scratch buffer's capacity.
+    // Warm-up: settle admissions, classifications, and every scratch
+    // buffer's capacity.
     system.step_until(&mut st, &mut daemon, SimTime::from_secs(10));
 
     let events_before = st.iterations();

@@ -1,20 +1,15 @@
-//! Fleet throughput: one mixed-cluster workload replayed across a
-//! nodes × worker-threads grid.
-//!
-//! The workers axis measures how well the epoch fan-out scales (results
-//! are byte-identical at every point of the axis, so the grid is purely
-//! a throughput comparison); the nodes axis measures how simulation
-//! cost grows with cluster size.
+//! Fleet throughput: one mixed-cluster workload replayed at several
+//! cluster sizes, measuring how simulation cost grows with node count.
 
-use avfs_fleet::{EnergyAware, Fleet, FleetConfig, NodeConfig, NodeKind};
+use avfs_fleet::{EnergyAware, Fleet, NodeConfig, NodeKind};
 use avfs_sim::time::SimDuration;
 use avfs_workloads::{GeneratorConfig, WorkloadTrace};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 /// A mixed cluster alternating X-Gene 2 and X-Gene 3 nodes.
-fn cluster(nodes: usize, workers: usize) -> FleetConfig {
-    let configs = (0..nodes)
+fn cluster(nodes: usize) -> Vec<NodeConfig> {
+    (0..nodes)
         .map(|i| {
             let kind = if i % 2 == 0 {
                 NodeKind::XGene2
@@ -23,10 +18,7 @@ fn cluster(nodes: usize, workers: usize) -> FleetConfig {
             };
             NodeConfig::new(kind, 0x5EED + i as u64)
         })
-        .collect();
-    let mut cfg = FleetConfig::new(configs);
-    cfg.workers = workers;
-    cfg
+        .collect()
 }
 
 fn trace(cores: usize) -> WorkloadTrace {
@@ -43,14 +35,12 @@ fn bench_fleet_grid(c: &mut Criterion) {
         // Total cores: alternating 8/32-core nodes.
         let cores = (0..nodes).map(|i| if i % 2 == 0 { 8 } else { 32 }).sum();
         let t = trace(cores);
-        for workers in [1usize, 2, 8] {
-            g.bench_function(format!("nodes{nodes}_workers{workers}"), |b| {
-                b.iter(|| {
-                    let fleet = Fleet::builder().config(cluster(nodes, workers)).build();
-                    black_box(fleet.run(&t, &mut EnergyAware::new()))
-                })
-            });
-        }
+        g.bench_function(format!("nodes{nodes}"), |b| {
+            b.iter(|| {
+                let fleet = Fleet::builder().nodes(cluster(nodes)).build();
+                black_box(fleet.run(&t, &mut EnergyAware::new()))
+            })
+        });
     }
     g.finish();
 }

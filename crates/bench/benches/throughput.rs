@@ -2,12 +2,10 @@
 //!
 //! Custom harness (no criterion): measures end-to-end event throughput —
 //! simulator events/sec under the Optimal daemon, fleet epochs/sec at
-//! 4 nodes × 8 workers, characterization-campaign cells/sec on the
-//! X-Gene 2 preset, and daemon replans/sec with the decision cache
-//! on vs off — plus per-component microbenches (calendar-queue ops/sec,
-//! power-LUT evaluations/sec) so a regression localizes to the layer
-//! that caused it, and verifies the cache is *transparent* (telemetry
-//! JSONL digests byte-identical cache-on vs cache-off on both presets).
+//! 4 nodes, characterization-campaign cells/sec on the X-Gene 2 preset,
+//! and daemon replans/sec — plus per-component microbenches
+//! (calendar-queue ops/sec, power-LUT evaluations/sec) so a regression
+//! localizes to the layer that caused it.
 //!
 //! Modes:
 //!
@@ -30,7 +28,6 @@ use avfs_sched::governor::GovernorMode;
 use avfs_sched::process::{Pid, ProcessState};
 use avfs_sched::system::System;
 use avfs_sim::time::{SimDuration, SimTime};
-use avfs_telemetry::Telemetry;
 use avfs_workloads::classify::IntensityClass;
 use avfs_workloads::generator::{GeneratorConfig, WorkloadTrace};
 use avfs_workloads::PerfModel;
@@ -88,8 +85,8 @@ fn sim_events_per_sec(preset: &str, reps: usize) -> (f64, u64) {
     (events as f64 / best, events)
 }
 
-/// Fleet epochs/sec on the issue's reference shape: 4 heterogeneous
-/// nodes, 8 workers, 1 s epochs, energy-aware routing.
+/// Fleet epochs/sec on the reference shape: 4 heterogeneous nodes,
+/// 1 s epochs, energy-aware routing.
 fn fleet_epochs_per_sec(reps: usize) -> (f64, u64) {
     let t = trace(32, 7, 120);
     let mut best = f64::MAX;
@@ -100,7 +97,6 @@ fn fleet_epochs_per_sec(reps: usize) -> (f64, u64) {
             .node(NodeConfig::new(NodeKind::XGene2, 102))
             .node(NodeConfig::new(NodeKind::XGene3, 103))
             .node(NodeConfig::new(NodeKind::XGene3, 104))
-            .workers(8)
             .build();
         let t0 = Instant::now();
         let summary = fleet.run(&t, &mut EnergyAware::new());
@@ -246,42 +242,17 @@ fn full_view(chip: &Chip) -> SystemView {
     }
 }
 
-/// Replans/sec on a recurring 32-process view, with the decision cache
-/// on or off. Returns the rate and the cache's `(hits, misses)`.
-fn replans_per_sec(cache: bool, iters: u32) -> (f64, (u64, u64)) {
+/// Replans/sec on a recurring 32-process view.
+fn replans_per_sec(iters: u32) -> f64 {
     let chip = presets::xgene3().build();
     let view = full_view(&chip);
     let mut daemon = Daemon::optimal(&chip);
-    daemon.set_decision_cache(cache);
     let _ = daemon.on_event(&view, &SysEvent::MonitorTick);
     let t0 = Instant::now();
     for _ in 0..iters {
         std::hint::black_box(daemon.on_event(&view, &SysEvent::ProcessFinished(Pid(999))));
     }
-    let wall = t0.elapsed().as_secs_f64();
-    (f64::from(iters) / wall, daemon.decision_cache_stats())
-}
-
-/// Byte-identity: the telemetry journal of a cached Optimal run equals
-/// the forced-miss journal on `preset`. Returns the cache's hit count.
-fn cache_transparent(preset: &str) -> (bool, u64, u64) {
-    let run = |cache: bool| {
-        let telemetry = Telemetry::hub();
-        let (chip, perf) = preset_chip(preset);
-        let mut daemon = Daemon::optimal(&chip);
-        daemon.set_decision_cache(cache);
-        daemon.set_telemetry(telemetry.clone());
-        let mut system = System::builder(chip, perf)
-            .observer(telemetry.clone())
-            .build();
-        let metrics = system.run(&trace(8, 42, 120), &mut daemon);
-        let jsonl = telemetry.export_jsonl().unwrap_or_default();
-        (jsonl, metrics, daemon.decision_cache_stats())
-    };
-    let (j_on, m_on, (hits, misses)) = run(true);
-    let (j_off, m_off, _) = run(false);
-    let equal = j_on == j_off && m_on.energy_j.to_bits() == m_off.energy_j.to_bits();
-    (equal, hits, misses)
+    f64::from(iters) / t0.elapsed().as_secs_f64()
 }
 
 struct Measured {
@@ -293,14 +264,9 @@ struct Measured {
     fleet_epochs: u64,
     campaign_cps: f64,
     campaign_cells: u64,
-    replans_cache_on: f64,
-    replans_cache_off: f64,
+    replans: f64,
     queue_ops: f64,
     power_lut_evals: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    digest_equal_xgene2: bool,
-    digest_equal_xgene3: bool,
 }
 
 fn measure(reps: usize) -> Measured {
@@ -308,12 +274,9 @@ fn measure(reps: usize) -> Measured {
     let (sim_eps_xgene3, sim_events_xgene3) = sim_events_per_sec("xgene3", reps);
     let (fleet_eps, fleet_epochs) = fleet_epochs_per_sec(reps);
     let (campaign_cps, campaign_cells) = campaign_cells_per_sec(reps);
-    let (replans_cache_on, _) = replans_per_sec(true, 20_000);
-    let (replans_cache_off, _) = replans_per_sec(false, 20_000);
+    let replans = replans_per_sec(20_000);
     let queue_ops = queue_ops_per_sec(reps);
     let power_lut_evals = power_lut_evals_per_sec(reps);
-    let (digest_equal_xgene2, hits2, misses2) = cache_transparent("xgene2");
-    let (digest_equal_xgene3, hits3, misses3) = cache_transparent("xgene3");
     Measured {
         sim_eps_xgene2,
         sim_events_xgene2,
@@ -323,34 +286,27 @@ fn measure(reps: usize) -> Measured {
         fleet_epochs,
         campaign_cps,
         campaign_cells,
-        replans_cache_on,
-        replans_cache_off,
+        replans,
         queue_ops,
         power_lut_evals,
-        cache_hits: hits2 + hits3,
-        cache_misses: misses2 + misses3,
-        digest_equal_xgene2,
-        digest_equal_xgene3,
     }
 }
 
 /// Every throughput metric as `(key, value)` — one source of truth for
 /// the report, the smoke gate, and the `--compare` delta table.
-fn metric_table(m: &Measured) -> [(&'static str, f64); 8] {
+fn metric_table(m: &Measured) -> [(&'static str, f64); 7] {
     [
         ("sim_events_per_sec_xgene2", m.sim_eps_xgene2),
         ("sim_events_per_sec_xgene3", m.sim_eps_xgene3),
-        ("fleet_epochs_per_sec_4n8w", m.fleet_eps),
+        ("fleet_epochs_per_sec_4n", m.fleet_eps),
         ("campaign_cells_per_sec_xgene2", m.campaign_cps),
-        ("daemon_replans_per_sec_cache_on", m.replans_cache_on),
-        ("daemon_replans_per_sec_cache_off", m.replans_cache_off),
+        ("daemon_replans_per_sec", m.replans),
         ("queue_ops_per_sec", m.queue_ops),
         ("power_lut_evals_per_sec", m.power_lut_evals),
     ]
 }
 
 fn render_json(m: &Measured) -> String {
-    let hit_rate = m.cache_hits as f64 / (m.cache_hits + m.cache_misses).max(1) as f64;
     let mut out = String::from("{\n  \"schema\": \"avfs-bench-9/v1\",\n  \"metrics\": {\n");
     let metrics = metric_table(m);
     for (i, (key, value)) in metrics.iter().enumerate() {
@@ -359,21 +315,11 @@ fn render_json(m: &Measured) -> String {
     }
     out.push_str(&format!(
         "  }},\n  \
-         \"events\": {{\"sim_xgene2\": {}, \"sim_xgene3\": {}, \"fleet_epochs\": {}, \"campaign_cells\": {}}},\n  \
-         \"speedup\": {{\"daemon_replan_cache\": {:.2}}},\n  \
-         \"cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.3}}},\n  \
-         \"identity\": {{\"telemetry_digest_equal_xgene2\": {}, \
-         \"telemetry_digest_equal_xgene3\": {}}}\n}}\n",
+         \"events\": {{\"sim_xgene2\": {}, \"sim_xgene3\": {}, \"fleet_epochs\": {}, \"campaign_cells\": {}}}\n}}\n",
         m.sim_events_xgene2,
         m.sim_events_xgene3,
         m.fleet_epochs,
         m.campaign_cells,
-        m.replans_cache_on / m.replans_cache_off,
-        m.cache_hits,
-        m.cache_misses,
-        hit_rate,
-        m.digest_equal_xgene2,
-        m.digest_equal_xgene3,
     ));
     out
 }
@@ -406,9 +352,6 @@ fn smoke(m: &Measured, baseline: &str) -> Result<(), String> {
         } else {
             println!("smoke ok: {key} {now:.0}/s (baseline {was:.0}/s)");
         }
-    }
-    if !m.digest_equal_xgene2 || !m.digest_equal_xgene3 {
-        failures.push("telemetry digest diverged under caching".to_string());
     }
     if failures.is_empty() {
         Ok(())
@@ -459,11 +402,6 @@ fn main() {
     } else {
         3
     });
-    assert!(
-        m.digest_equal_xgene2 && m.digest_equal_xgene3,
-        "decision cache changed the telemetry journal"
-    );
-    assert!(m.cache_hits > 0, "decision cache never hit");
 
     let report = render_json(&m);
     print!("{report}");

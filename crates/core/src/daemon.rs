@@ -177,36 +177,6 @@ struct PlanScratch {
     targets: Vec<(Pid, CoreSet)>,
 }
 
-/// A memoized *placement* decision: the fingerprint of everything the
-/// layout/frequency planner reads, and the plan it produced. Pins are
-/// stored by the process's *canonical rank* (its position in
-/// [`Daemon::canonical_order`] — the shape-sorted order the whole
-/// planning pipeline runs in), never by raw pid or view position: the
-/// plan depends on processes only through their shapes, so a cached
-/// plan replays correctly after pid churn permutes the view. The
-/// voltage program is deliberately *not* cached: it depends on the
-/// entering rail voltage (which varies with the previous configuration
-/// even when the placement state recurs) and is cheap table lookups —
-/// recomputing it live keeps the key small and the hit rate high.
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    key: u64,
-    /// Ordered pins, as (canonical rank, target cores).
-    pins: Vec<(usize, CoreSet)>,
-    /// Full per-PMD frequency program.
-    steps: Vec<FreqStep>,
-    /// Cores busy under the target layout (stranded included).
-    target_busy: CoreSet,
-    /// `deferred_pins` delta the sequencing pass recorded, replayed on
-    /// hits so the counter surface stays byte-identical.
-    deferred: u64,
-}
-
-/// Entries kept in the decision cache. Control state rarely revisits
-/// more than a handful of distinct configurations between invalidations,
-/// so a small linear-scan cache wins over a map.
-const DECISION_CACHE_CAP: usize = 32;
-
 impl avfs_sched::Report for DaemonStats {
     /// The `Display` line doubles as the fingerprint: all fields are
     /// integers, so textual equality is bit equality.
@@ -270,10 +240,6 @@ pub struct Daemon {
     droop_guard: bool,
     name: String,
     plan_scratch: PlanScratch,
-    cache: Vec<CachedPlan>,
-    cache_enabled: bool,
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 impl Daemon {
@@ -313,19 +279,6 @@ impl Daemon {
         }
     }
 
-    /// Builds a daemon that reports its decisions through `telemetry`.
-    /// The daemon owns its counter registry either way; the observer
-    /// additionally receives counter mirrors and span-style trace events
-    /// for every decision point (replans, recovery transitions, the
-    /// droop guard, the migration watchdog).
-    #[deprecated(
-        since = "0.8.0",
-        note = "use Daemon::builder(chip).config(config).observer(telemetry).build()"
-    )]
-    pub fn with_observer(chip: &Chip, config: DaemonConfig, telemetry: Telemetry) -> Self {
-        Daemon::construct(chip, config, telemetry)
-    }
-
     fn construct(chip: &Chip, config: DaemonConfig, telemetry: Telemetry) -> Self {
         let name = match (config.control_placement, config.control_voltage) {
             (true, true) => "optimal",
@@ -347,10 +300,6 @@ impl Daemon {
             droop_guard: false,
             name: name.to_string(),
             plan_scratch: PlanScratch::default(),
-            cache: Vec::new(),
-            cache_enabled: true,
-            cache_hits: 0,
-            cache_misses: 0,
         }
     }
 
@@ -541,13 +490,11 @@ impl Daemon {
     /// knob; disabling it makes transitions unsafe on purpose).
     pub fn set_fail_safe_ordering(&mut self, enabled: bool) {
         self.config.fail_safe_ordering = enabled;
-        self.cache.clear();
     }
 
     /// Overrides the memory-PMD frequency step (threshold/step sweeps).
     pub fn set_mem_step(&mut self, step: FreqStep) {
         self.config.mem_step = step;
-        self.cache.clear();
     }
 
     /// The policy table currently driving voltage decisions.
@@ -556,8 +503,8 @@ impl Daemon {
     }
 
     /// Atomically replaces the policy table (the recharacterization swap
-    /// seam): all memoized decisions are dropped so the very next replan
-    /// reads the new table, and the swap is traced as a
+    /// seam): the very next replan reads the new table, and the swap is
+    /// traced as a
     /// [`TraceKind::TableSwap`].
     ///
     /// # Errors
@@ -575,7 +522,6 @@ impl Daemon {
         }
         let static_max_mv = table.static_safe_voltage(FreqVminClass::Max).as_mv();
         self.table = table;
-        self.cache.clear();
         self.telemetry.counter_inc("daemon.table_swaps");
         self.telemetry.trace(TraceKind::TableSwap, || {
             vec![
@@ -608,128 +554,67 @@ impl Daemon {
             return actions;
         }
 
-        // --- Target layout & frequency program (memoized). ---
+        // --- Target layout & frequency program. ---
         // The scratch buffers persist across replans (taken out of self
-        // so the planner can borrow them while `self` stays usable).
+        // so the planner can borrow them while `self` stays usable). The
+        // whole pipeline runs in canonical order, so its decisions are a
+        // function of the process shapes alone (see `canonical_order`).
         let mut scratch = std::mem::take(&mut self.plan_scratch);
         self.canonical_order(view, &mut scratch.order);
-        let key = self.decision_key(view, &scratch.order);
-        let hit = if self.cache_enabled {
-            self.cache.iter().position(|e| e.key == key)
-        } else {
-            None
-        };
-        let (pins, target_busy) = if let Some(idx) = hit {
-            self.cache_hits += 1;
-            let entry = &self.cache[idx];
-            scratch.steps.clear();
-            scratch.steps.extend_from_slice(&entry.steps);
-            let pins: Vec<(Pid, CoreSet)> = entry
-                .pins
-                .iter()
-                .map(|&(rank, cores)| (view.processes[scratch.order[rank]].pid, cores))
-                .collect();
-            let deferred = entry.deferred;
-            let target_busy = entry.target_busy;
-            // LRU: move the hit entry to the back; eviction takes the
-            // front, so recurring configurations survive one-off visits.
-            self.cache[idx..].rotate_left(1);
-            // The sequencing pass counts deferrals unconditionally (even
-            // zero), so the replay must touch the counter at the same
-            // point for the cached journal to stay byte-identical.
-            self.count(Dc::DeferredPins, deferred);
-            (pins, target_busy)
-        } else {
-            // The whole fresh pipeline runs in canonical order, so its
-            // decisions are a function of the fingerprinted shapes alone
-            // — the property the rank-encoded replay above relies on.
-            scratch.procs.clear();
-            scratch.procs.extend(scratch.order.iter().map(|&i| {
-                let p = &view.processes[i];
-                PlanProc {
-                    pid: p.pid,
-                    threads: p.threads,
-                    class: self.tracker.class_of(p.pid),
-                }
-            }));
-            plan_layout_into(&self.spec, &scratch.procs, &mut scratch.layout);
-            // Running processes the layout could not re-fit (fragmentation
-            // under oversubscription: a wide process cannot be packed around
-            // a newly placed narrow one) keep executing on their current
-            // cores. The program must keep those PMDs clocked and the rail
-            // above their Vmin, or the final undervolt would dip below what
-            // the cores that never vacated require.
-            let stranded = view
-                .processes
-                .iter()
-                .filter(|p| {
-                    p.state == ProcessState::Running
-                        && scratch.layout.assignment_of(p.pid).is_none()
-                })
-                .fold(CoreSet::EMPTY, |acc, p| acc.union(p.assigned));
-            scratch.steps.clear();
-            for (i, role) in scratch.layout.pmd_roles().iter().enumerate() {
-                let planned = match role {
-                    PmdRole::Cpu => FreqStep::MAX,
-                    PmdRole::Mem => self.config.mem_step,
-                    PmdRole::Idle => self.config.idle_step,
-                };
-                let hosts_stranded = self
-                    .spec
-                    .cores_of_iter(PmdId::new(i as u16))
-                    .any(|c| stranded.contains(c));
-                scratch.steps.push(if hosts_stranded {
-                    // Never throttle a core a stranded process runs on.
-                    view.pmd_steps
-                        .get(i)
-                        .map_or(planned, |&current| planned.max(current))
-                } else {
-                    planned
-                });
+        scratch.procs.clear();
+        scratch.procs.extend(scratch.order.iter().map(|&i| {
+            let p = &view.processes[i];
+            PlanProc {
+                pid: p.pid,
+                threads: p.threads,
+                class: self.tracker.class_of(p.pid),
             }
-            // Sequencing consumes targets in canonical order too: the
-            // emitted pin *order* must be shape-determined for the
-            // rank-encoded replay to reproduce it on a permuted view.
-            scratch.targets.clear();
-            for &i in &scratch.order {
-                let pid = view.processes[i].pid;
-                if let Some(cores) = scratch.layout.assignment_of(pid) {
-                    scratch.targets.push((pid, cores));
-                }
+        }));
+        plan_layout_into(&self.spec, &scratch.procs, &mut scratch.layout);
+        // Running processes the layout could not re-fit (fragmentation
+        // under oversubscription: a wide process cannot be packed around
+        // a newly placed narrow one) keep executing on their current
+        // cores. The program must keep those PMDs clocked and the rail
+        // above their Vmin, or the final undervolt would dip below what
+        // the cores that never vacated require.
+        let stranded = view
+            .processes
+            .iter()
+            .filter(|p| {
+                p.state == ProcessState::Running && scratch.layout.assignment_of(p.pid).is_none()
+            })
+            .fold(CoreSet::EMPTY, |acc, p| acc.union(p.assigned));
+        scratch.steps.clear();
+        for (i, role) in scratch.layout.pmd_roles().iter().enumerate() {
+            let planned = match role {
+                PmdRole::Cpu => FreqStep::MAX,
+                PmdRole::Mem => self.config.mem_step,
+                PmdRole::Idle => self.config.idle_step,
+            };
+            let hosts_stranded = self
+                .spec
+                .cores_of_iter(PmdId::new(i as u16))
+                .any(|c| stranded.contains(c));
+            scratch.steps.push(if hosts_stranded {
+                // Never throttle a core a stranded process runs on.
+                view.pmd_steps
+                    .get(i)
+                    .map_or(planned, |&current| planned.max(current))
+            } else {
+                planned
+            });
+        }
+        // Sequencing consumes targets in canonical order too, so the
+        // emitted pin *order* is shape-determined as well.
+        scratch.targets.clear();
+        for &i in &scratch.order {
+            let pid = view.processes[i].pid;
+            if let Some(cores) = scratch.layout.assignment_of(pid) {
+                scratch.targets.push((pid, cores));
             }
-            let deferred_before = self.registry.get(Dc::DeferredPins as usize);
-            let pins = self.sequence_pins(view, &scratch.targets);
-            let deferred = self.registry.get(Dc::DeferredPins as usize) - deferred_before;
-            let target_busy = scratch.layout.busy_cores().union(stranded);
-            if self.cache_enabled {
-                self.cache_misses += 1;
-                // Pins re-encoded by canonical rank; every pinned pid
-                // comes from the view, so the lookup cannot fail.
-                let encoded: Option<Vec<(usize, CoreSet)>> = pins
-                    .iter()
-                    .map(|&(pid, cores)| {
-                        scratch
-                            .order
-                            .iter()
-                            .position(|&i| view.processes[i].pid == pid)
-                            .map(|rank| (rank, cores))
-                    })
-                    .collect();
-                if let Some(encoded) = encoded {
-                    if self.cache.len() >= DECISION_CACHE_CAP {
-                        self.cache.remove(0);
-                    }
-                    self.cache.push(CachedPlan {
-                        key,
-                        pins: encoded,
-                        steps: scratch.steps.clone(),
-                        target_busy,
-                        deferred,
-                    });
-                }
-            }
-            (pins, target_busy)
-        };
+        }
+        let pins = self.sequence_pins(view, &scratch.targets);
+        let target_busy = scratch.layout.busy_cores().union(stranded);
         let new_steps = &scratch.steps;
 
         // --- Voltage program. ---
@@ -826,10 +711,11 @@ impl Daemon {
 
     /// The canonical planning order: view indices sorted by process
     /// *shape* — run state (running first), current placement bits,
-    /// width, tracked class. The fingerprint hashes shapes in this
-    /// order and the fresh pipeline plans in it, so two views whose
-    /// shape multisets match produce identical rank-indexed plans even
-    /// when pid churn permutes the view. Equal-shape processes are
+    /// width, tracked class. Planning in this order makes the plan a
+    /// function of the shape multiset alone, so a view that pid churn
+    /// has permuted gets the same plan, and the committed artifacts
+    /// depend on it: planning in view order instead changes the
+    /// Figure 14/15 rows of `exp all`. Equal-shape processes are
     /// interchangeable (running processes always differ in placement
     /// bits; tied waiting processes have the same width and class), so
     /// the tie order within the sort cannot affect the plan.
@@ -849,72 +735,6 @@ impl Daemon {
             };
             (state_rank, p.assigned.bits(), p.threads, class_rank)
         });
-    }
-
-    /// Fingerprint of everything the *placement* planner reads: the
-    /// per-PMD step program (stranded cores are never throttled below
-    /// their current step) and each process's shape in canonical order
-    /// — threads, run state, current placement, and tracked class. Pids
-    /// are deliberately excluded, and shapes are hashed in
-    /// [`Self::canonical_order`] rather than view order: the plan
-    /// depends on processes only through their shapes, so a cached
-    /// decision stays valid across pid churn *and* across churn-induced
-    /// permutations of the view. The rail voltage, droop guard, and
-    /// recovery posture feed only the voltage program, which is
-    /// recomputed live on every replan — hashing them would sink the
-    /// hit rate (the entering voltage varies with the *previous*
-    /// configuration even when the placement state recurs). The
-    /// daemon's own config is not hashed; its setters invalidate the
-    /// cache instead.
-    fn decision_key(&self, view: &SystemView, order: &[usize]) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: u64, v: u64) -> u64 {
-            (h ^ v).wrapping_mul(FNV_PRIME)
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = mix(h, view.pmd_steps.len() as u64);
-        for &step in &view.pmd_steps {
-            h = mix(h, u64::from(step.numerator()));
-        }
-        h = mix(h, view.processes.len() as u64);
-        for &i in order {
-            let p = &view.processes[i];
-            h = mix(h, p.threads as u64);
-            h = mix(
-                h,
-                match p.state {
-                    ProcessState::Waiting => 0,
-                    ProcessState::Running => 1,
-                    ProcessState::Finished => 2,
-                },
-            );
-            h = mix(h, p.assigned.bits());
-            h = mix(
-                h,
-                match self.tracker.class_of(p.pid) {
-                    IntensityClass::CpuIntensive => 0,
-                    IntensityClass::MemoryIntensive => 1,
-                },
-            );
-        }
-        h
-    }
-
-    /// Enables or disables the replan decision cache (enabled by
-    /// default). Disabling clears it, forcing every subsequent replan
-    /// down the full planning path.
-    pub fn set_decision_cache(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        if !enabled {
-            self.cache.clear();
-        }
-    }
-
-    /// `(hits, misses)` observed by the decision cache. Diagnostic only:
-    /// not part of [`DaemonStats`] or any telemetry surface, so cached
-    /// and uncached runs stay byte-identical everywhere else.
-    pub fn decision_cache_stats(&self) -> (u64, u64) {
-        (self.cache_hits, self.cache_misses)
     }
 
     /// Emits pins and frequency-step changes (only the deltas).
@@ -1038,7 +858,6 @@ impl Daemon {
             return false;
         }
         self.droop_guard = view.droop_alert;
-        self.cache.clear();
         if self.droop_guard {
             self.bump(Dc::DroopEmergencies);
         }
@@ -1105,9 +924,6 @@ impl Daemon {
         notice: avfs_sched::driver::FaultNotice,
     ) -> Vec<Action> {
         self.bump(Dc::MailboxFaults);
-        // A fault reshapes everything downstream (retry budget, safe
-        // mode, pessimized voltage) — drop all memoized decisions.
-        self.cache.clear();
         let before = self.recovery.state();
         let decision = self.recovery.on_fault();
         self.trace_recovery_transition(before, "fault");
@@ -1239,9 +1055,6 @@ impl Driver for Daemon {
                 self.bump(Dc::VoltageLowers);
             }
         }
-        // Class flips reshape the layout, but need no cache invalidation:
-        // every tracked class is part of the decision key, so a flip
-        // changes the key and stale entries simply stop matching.
         self.tracker.refresh(view);
         if let SysEvent::OperationFault(notice) = event {
             actions.extend(self.on_operation_fault(view, *notice));
@@ -1252,9 +1065,6 @@ impl Driver for Daemon {
         // recovery machine and pick up droop-alert changes.
         let before = self.recovery.state();
         let exited_safe_mode = self.recovery.on_clean_event();
-        if before != self.recovery.state() {
-            self.cache.clear();
-        }
         self.trace_recovery_transition(before, "clean_window");
         if exited_safe_mode {
             self.bump(Dc::SafeModeExits);

@@ -17,9 +17,8 @@
 //!
 //! Execution is epoch-synchronized: arrivals are admitted at epoch
 //! boundaries, then every node advances independently to the next
-//! boundary, fanned out across a scoped worker pool. Results are
-//! **byte-identical for any worker count** — see the determinism rules
-//! on [`engine`]. Cluster results aggregate into a [`FleetSummary`]
+//! boundary, in `NodeId` order. Two runs of the same configuration are
+//! **byte-identical** — see the determinism rules on [`engine`]. Cluster results aggregate into a [`FleetSummary`]
 //! (energy, makespan, admission/shedding counters, daemon recovery
 //! stats, per-node metrics) with a [`FleetSummary::fingerprint`] digest
 //! and an optional merged telemetry journal.

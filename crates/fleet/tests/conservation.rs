@@ -4,7 +4,7 @@
 //! completes once the fleet drains.
 
 use avfs_fleet::{
-    EnergyAware, Fleet, FleetConfig, LeastQueued, NodeConfig, NodeKind, RoundRobin, RoutingPolicy,
+    EnergyAware, Fleet, LeastQueued, NodeConfig, NodeKind, RoundRobin, RoutingPolicy,
 };
 use avfs_sim::time::SimDuration;
 use avfs_workloads::{GeneratorConfig, WorkloadTrace};
@@ -25,7 +25,6 @@ proptest! {
         seed in 0u64..1_000,
         capacity in 1usize..4,
         which in 0u8..3,
-        workers in 1usize..3,
     ) {
         let mut nodes = vec![
             NodeConfig::new(NodeKind::XGene2, seed.wrapping_add(1)),
@@ -34,8 +33,6 @@ proptest! {
         for n in &mut nodes {
             n.admit_capacity = capacity;
         }
-        let mut cfg = FleetConfig::new(nodes);
-        cfg.workers = workers;
         let mut rr = RoundRobin::new();
         let mut lq = LeastQueued::new();
         let mut ea = EnergyAware::new();
@@ -44,7 +41,7 @@ proptest! {
             1 => &mut lq,
             _ => &mut ea,
         };
-        let summary = Fleet::builder().config(cfg).build().run(&tiny_trace(seed), policy);
+        let summary = Fleet::builder().nodes(nodes).build().run(&tiny_trace(seed), policy);
         let a = summary.admission;
         prop_assert!(a.submitted > 0);
         prop_assert_eq!(

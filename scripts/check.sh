@@ -29,8 +29,8 @@ cargo run -q -p avfs-analyze -- invariants
 echo "==> avfs-analyze lint"
 cargo run -q -p avfs-analyze -- lint
 
-echo "==> avfs-analyze model (exhaustive bounded check, depth 6)"
-cargo run -q --release -p avfs-analyze -- model --depth 6
+echo "==> avfs-analyze model (exhaustive bounded check, depth 10)"
+cargo run -q --release -p avfs-analyze -- model --depth 10
 
 echo "==> avfs-analyze prove-policy (exhaustive policy-domain proof)"
 cargo run -q --release -p avfs-analyze -- prove-policy
@@ -44,7 +44,7 @@ cargo run -q -p avfs-analyze -- race --schedules 160
 echo "==> avfs-analyze race (96 schedules, 10% fault rate)"
 cargo run -q -p avfs-analyze -- race --schedules 96 --seed 4195287042 --fault-rate 0.10
 
-echo "==> avfs-analyze fleet (cluster invariants, fencing, exactly-once, worker determinism)"
+echo "==> avfs-analyze fleet (cluster invariants, fencing, exactly-once, run-to-run determinism)"
 cargo run -q --release -p avfs-analyze -- fleet
 
 echo "==> cargo test"
@@ -53,7 +53,7 @@ cargo test -q --workspace
 echo "==> resilience smoke soak (seeded fault injection)"
 cargo run -q --release -p avfs-experiments --bin exp -- resilience --smoke > /dev/null
 
-echo "==> fleet smoke (cluster eval acceptance + worker-count determinism gate)"
+echo "==> fleet smoke (cluster eval acceptance + run-to-run determinism gate)"
 cargo run -q --release -p avfs-experiments --bin exp -- fleet --smoke > /dev/null
 
 echo "==> fleet-resilience smoke (node failures: rate-0 bit-identity, crash drill, exactly-once)"
