@@ -292,7 +292,7 @@ pub fn drill_table(results: &FleetResilienceResults) -> Table {
 }
 
 /// The two bit-identity gates as a table: unarmed vs armed-zero, and
-/// the crash drill across worker counts.
+/// the crash drill run twice with the same config.
 pub fn identity_table(results: &FleetResilienceResults) -> Table {
     let mut t = Table::new(
         "fleet-resilience-identity",

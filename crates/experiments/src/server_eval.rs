@@ -30,6 +30,11 @@ impl EvalResults {
         &self.runs[0].1
     }
 
+    /// The Optimal run's metrics.
+    pub fn optimal(&self) -> &RunMetrics {
+        &self.runs[3].1
+    }
+
     /// Metrics of a configuration by its table label.
     pub fn config(&self, label: &str) -> Option<&RunMetrics> {
         self.runs
@@ -49,6 +54,14 @@ pub fn evaluate(machine: Machine, scale: Scale, seed: u64) -> EvalResults {
 /// run's chip, scheduler, and daemon (the paper's headline
 /// configuration; instrumenting all four would interleave their
 /// journals on one monotone clock). The run opens with an `Init` trace.
+///
+/// The four runs share only the read-only trace, so they run two at a
+/// time: Safe Vmin then Placement on one scoped thread, Baseline then
+/// Optimal on the calling thread. The two halves take about equally
+/// long on both machines, and keeping the observed Optimal run on the
+/// caller keeps the hub's allocations in the caller's malloc arena
+/// (DESIGN.md §15). Results come back in [`EvalConfig::ALL`] order,
+/// bit-identical to running the four one after another.
 pub fn evaluate_with_observer(
     machine: Machine,
     scale: Scale,
@@ -62,35 +75,47 @@ pub fn evaluate_with_observer(
         gen.job_scale = 0.25;
     }
     let trace = WorkloadTrace::generate(&gen);
-    let runs = EvalConfig::ALL
-        .iter()
-        .map(|&cfg| {
-            let chip = machine.chip_builder().build();
-            let run_telemetry = if cfg == EvalConfig::Optimal {
-                telemetry.clone()
-            } else {
-                Telemetry::null()
-            };
-            run_telemetry.trace(TraceKind::Init, || {
-                vec![
-                    ("experiment", Value::from("server_eval")),
-                    ("machine", Value::from(machine.name())),
-                    ("config", Value::from(cfg.label())),
-                ]
-            });
-            let mut driver = cfg.driver_with_observer(&chip, run_telemetry.clone());
-            let mut system = System::builder(chip, machine.perf_model())
-                .config(SystemConfig::default())
-                .observer(run_telemetry)
-                .build();
-            let metrics = system.run(&trace, driver.as_mut());
-            (cfg.label().to_string(), metrics)
-        })
-        .collect();
+    let runs = std::thread::scope(|s| {
+        let helper = s.spawn(|| {
+            [EvalConfig::SafeVmin, EvalConfig::Placement]
+                .map(|cfg| run_config(machine, cfg, &trace, Telemetry::null()))
+        });
+        let baseline = run_config(machine, EvalConfig::Baseline, &trace, Telemetry::null());
+        let optimal = run_config(machine, EvalConfig::Optimal, &trace, telemetry.clone());
+        let [safe_vmin, placement] = helper
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        vec![baseline, safe_vmin, placement, optimal]
+    });
     EvalResults {
         machine: machine.name().to_string(),
         runs,
     }
+}
+
+/// One configuration's run of `trace` on a fresh chip, opened with an
+/// `Init` trace on `telemetry`.
+fn run_config(
+    machine: Machine,
+    cfg: EvalConfig,
+    trace: &WorkloadTrace,
+    telemetry: Telemetry,
+) -> (String, RunMetrics) {
+    let chip = machine.chip_builder().build();
+    telemetry.trace(TraceKind::Init, || {
+        vec![
+            ("experiment", Value::from("server_eval")),
+            ("machine", Value::from(machine.name())),
+            ("config", Value::from(cfg.label())),
+        ]
+    });
+    let mut driver = cfg.driver_with_observer(&chip, telemetry.clone());
+    let mut system = System::builder(chip, machine.perf_model())
+        .config(SystemConfig::default())
+        .observer(telemetry)
+        .build();
+    let metrics = system.run(trace, driver.as_mut());
+    (cfg.label().to_string(), metrics)
 }
 
 /// Tables III/IV: time, average power, energy, savings, and ED2P for the
@@ -154,7 +179,7 @@ pub fn table3_4_with_observer(
 /// resampled to `bucket_s`-second buckets for compact output.
 pub fn fig14(results: &EvalResults, bucket_s: u64) -> Table {
     let base = results.baseline();
-    let optimal = results.config("Optimal").expect("optimal run");
+    let optimal = results.optimal();
     let mut t = Table::new(
         &format!("fig14-{}", results.machine.to_lowercase().replace(' ', "")),
         &format!(
@@ -185,7 +210,7 @@ pub fn fig14(results: &EvalResults, bucket_s: u64) -> Table {
 /// Figure 15: system load (running threads) and CPU-/memory-intensive
 /// process counts over time for the Optimal run.
 pub fn fig15(results: &EvalResults, bucket_s: u64) -> Table {
-    let optimal = results.config("Optimal").expect("optimal run");
+    let optimal = results.optimal();
     let mut t = Table::new(
         &format!("fig15-{}", results.machine.to_lowercase().replace(' ', "")),
         &format!(

@@ -72,6 +72,18 @@ cargo run -q --release -p avfs-experiments --bin exp -- \
 test -s "$trace_dir/a.jsonl"
 cmp "$trace_dir/a.jsonl" "$trace_dir/b.jsonl"
 
+echo "==> server-eval determinism (concurrent configurations: byte-identical journals and exp all output)"
+cargo run -q --release -p avfs-experiments --bin exp -- \
+  table3 --trace "$trace_dir/t3a.jsonl" > /dev/null 2>&1
+cargo run -q --release -p avfs-experiments --bin exp -- \
+  table3 --trace "$trace_dir/t3b.jsonl" > /dev/null 2>&1
+test -s "$trace_dir/t3a.jsonl"
+cmp "$trace_dir/t3a.jsonl" "$trace_dir/t3b.jsonl"
+cargo run -q --release -p avfs-experiments --bin exp -- all > "$trace_dir/all-a.txt"
+cargo run -q --release -p avfs-experiments --bin exp -- all > "$trace_dir/all-b.txt"
+test -s "$trace_dir/all-a.txt"
+cmp "$trace_dir/all-a.txt" "$trace_dir/all-b.txt"
+
 echo "==> telemetry observer guard (null-path overhead within noise)"
 cargo test -q --release -p avfs-bench --test observer_guard
 

@@ -2,9 +2,15 @@
 //! each other the way the paper's figures agree.
 
 use avfs_chip::vmin::DroopClass;
+use avfs_core::configs::EvalConfig;
 use avfs_experiments::{
-    characterization, droops, energy, factors, perfchar, tables, Machine, Scale,
+    characterization, droops, energy, factors, perfchar, server_eval, tables, Machine, Scale,
 };
+use avfs_sched::metrics::RunMetrics;
+use avfs_sched::system::{System, SystemConfig};
+use avfs_sched::Report;
+use avfs_telemetry::{Telemetry, TraceKind, Value};
+use avfs_workloads::generator::{GeneratorConfig, WorkloadTrace};
 
 #[test]
 fn fig3_agrees_with_table2_at_matching_configs() {
@@ -185,4 +191,85 @@ fn quick_artifacts_render_to_markdown_and_csv() {
     t.write_csv(&dir).expect("csv write");
     let csv = std::fs::read_to_string(dir.join("table1.csv")).expect("csv read");
     assert!(csv.contains("Nominal voltage"));
+}
+
+/// The §VI-B evaluation replayed one configuration after another from
+/// public parts, with `telemetry` on the Optimal run only: the reference
+/// the concurrent `server_eval::evaluate_with_observer` must reproduce.
+fn sequential_eval(
+    machine: Machine,
+    scale: Scale,
+    seed: u64,
+    telemetry: &Telemetry,
+) -> Vec<(String, RunMetrics)> {
+    let cores = machine.chip_builder().spec().cores as usize;
+    let mut gen = GeneratorConfig::paper_default(cores, seed);
+    gen.duration = scale.server_window();
+    if scale == Scale::Quick {
+        gen.job_scale = 0.25;
+    }
+    let trace = WorkloadTrace::generate(&gen);
+    EvalConfig::ALL
+        .iter()
+        .map(|&cfg| {
+            let chip = machine.chip_builder().build();
+            let run_telemetry = if cfg == EvalConfig::Optimal {
+                telemetry.clone()
+            } else {
+                Telemetry::null()
+            };
+            run_telemetry.trace(TraceKind::Init, || {
+                vec![
+                    ("experiment", Value::from("server_eval")),
+                    ("machine", Value::from(machine.name())),
+                    ("config", Value::from(cfg.label())),
+                ]
+            });
+            let mut driver = cfg.driver_with_observer(&chip, run_telemetry.clone());
+            let mut system = System::builder(chip, machine.perf_model())
+                .config(SystemConfig::default())
+                .observer(run_telemetry)
+                .build();
+            let metrics = system.run(&trace, driver.as_mut());
+            (cfg.label().to_string(), metrics)
+        })
+        .collect()
+}
+
+fn assert_same_runs(concurrent: &[(String, RunMetrics)], sequential: &[(String, RunMetrics)]) {
+    assert_eq!(concurrent.len(), EvalConfig::ALL.len());
+    assert_eq!(concurrent.len(), sequential.len());
+    for ((label, c), (want, s)) in concurrent.iter().zip(sequential) {
+        assert_eq!(label, want);
+        assert_eq!(c.fingerprint(), s.fingerprint(), "{label}");
+        assert!(
+            c == s,
+            "{label}: concurrent run differs from the sequential replay"
+        );
+    }
+}
+
+#[test]
+fn concurrent_server_eval_matches_a_sequential_replay() {
+    for machine in [Machine::XGene2, Machine::XGene3] {
+        for seed in [3, 11] {
+            let concurrent = server_eval::evaluate(machine, Scale::Quick, seed);
+            assert_eq!(concurrent.machine, machine.name());
+            let sequential = sequential_eval(machine, Scale::Quick, seed, &Telemetry::null());
+            assert_same_runs(&concurrent.runs, &sequential);
+        }
+    }
+}
+
+#[test]
+fn concurrent_server_eval_journal_matches_a_sequential_replay() {
+    let hub = Telemetry::hub();
+    let concurrent = server_eval::evaluate_with_observer(Machine::XGene2, Scale::Quick, 5, &hub);
+    let reference = Telemetry::hub();
+    let sequential = sequential_eval(Machine::XGene2, Scale::Quick, 5, &reference);
+    assert_same_runs(&concurrent.runs, &sequential);
+    let journal = hub.export_jsonl().unwrap_or_default();
+    assert!(journal.contains("\"config\":\"Optimal\""), "{journal:.200}");
+    assert!(!journal.contains("\"config\":\"Baseline\""));
+    assert_eq!(Some(journal), reference.export_jsonl());
 }
