@@ -17,6 +17,7 @@ use avfs_fleet::{
     NodeFaultPlan, NodeId, NodeKind, RoundRobin, RoutingPolicy, ScriptedFault,
 };
 use avfs_sim::time::SimDuration;
+use avfs_telemetry::json::{self, Json};
 use avfs_workloads::{GeneratorConfig, WorkloadTrace};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -247,17 +248,6 @@ const CRASH_CANDIDATES: [(u16, u64); 9] = [
     (3, 20),
 ];
 
-/// Extracts the u64 after `"key":` in a JSONL trace line, if present.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
 /// Replays the fleet journal in sequence order and asserts the fencing
 /// contract: between a node's `node_fenced` and its `node_recovered`,
 /// no `fleet_route` line may name it (re-dispatch hops included via
@@ -265,36 +255,42 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 fn check_fencing_journal(journal: &str, out: &mut Vec<Violation>) {
     let mut fenced: BTreeSet<u64> = BTreeSet::new();
     for line in journal.lines() {
-        if line.contains("\"kind\":\"node_fenced\"") {
-            if let Some(n) = field_u64(line, "node") {
-                fenced.insert(n);
+        let event = match json::parse(line) {
+            Ok(event) => event,
+            Err(e) => {
+                out.push(violation(
+                    "fleet-fencing",
+                    "journal".to_string(),
+                    format!("unparsable journal line ({e}): {line}"),
+                ));
+                continue;
             }
-        } else if line.contains("\"kind\":\"node_recovered\"") {
-            if let Some(n) = field_u64(line, "node") {
-                fenced.remove(&n);
+        };
+        let field = |key| event.get(key).and_then(Json::as_u64);
+        let text = |key| event.get(key).and_then(Json::as_str);
+        let (target, what) = match text("kind") {
+            Some("node_fenced") => {
+                fenced.extend(field("node"));
+                continue;
             }
-        } else if line.contains("\"kind\":\"fleet_route\"") {
-            if let Some(n) = field_u64(line, "node") {
-                if fenced.contains(&n) {
-                    out.push(violation(
-                        "fleet-fencing",
-                        format!("node{n}"),
-                        format!("fleet_route named a fenced node: {line}"),
-                    ));
+            Some("node_recovered") => {
+                if let Some(n) = field("node") {
+                    fenced.remove(&n);
                 }
+                continue;
             }
-        } else if line.contains("\"kind\":\"job_redispatch\"")
-            && line.contains("\"outcome\":\"reassigned\"")
-        {
-            if let Some(n) = field_u64(line, "to") {
-                if fenced.contains(&n) {
-                    out.push(violation(
-                        "fleet-fencing",
-                        format!("node{n}"),
-                        format!("job_redispatch reassigned onto a fenced node: {line}"),
-                    ));
-                }
+            Some("fleet_route") => (field("node"), "fleet_route named a fenced node"),
+            Some("job_redispatch") if text("outcome") == Some("reassigned") => {
+                (field("to"), "job_redispatch reassigned onto a fenced node")
             }
+            _ => continue,
+        };
+        if let Some(n) = target.filter(|n| fenced.contains(n)) {
+            out.push(violation(
+                "fleet-fencing",
+                format!("node{n}"),
+                format!("{what}: {line}"),
+            ));
         }
     }
 }

@@ -6,7 +6,7 @@
 //!   constructing a `VminModel` (whose constructor panics on bad tables,
 //!   which would turn a finding into a crash).
 //! * **Model** — queries against the built chip's validated model.
-//! * **Topology** — structural well-formedness of the [`ChipSpec`].
+//! * **Topology** — structural well-formedness of the [`avfs_chip::ChipSpec`].
 //! * **Policy** — the characterized [`PolicyTable`]: totality over every
 //!   `FreqVminClass × DroopClass × thread-bucket` cell, monotonicity, and
 //!   coverage of the underlying model.

@@ -65,7 +65,6 @@ pub mod context;
 pub mod fleet;
 pub mod invariant;
 pub mod invariants;
-pub mod jsonout;
 pub mod lint;
 pub mod margins;
 pub mod model;

@@ -18,8 +18,8 @@
 //! the gates individually).
 
 use avfs_analyze::invariant::{check_all, registry};
-use avfs_analyze::jsonout::{string, string_array};
 use avfs_analyze::{fleet, lint, margins, model, proof, race};
+use avfs_telemetry::json;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -120,6 +120,19 @@ fn get_f64(flags: &BTreeMap<String, String>, flag: &str, default: f64) -> Result
             .parse()
             .map_err(|_| format!("flag {flag}: invalid value {v:?}")),
     }
+}
+
+/// Renders `s` as a quoted, escaped JSON string.
+fn string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    json::escape_into(&mut out, s);
+    out
+}
+
+/// Renders a JSON array of strings.
+fn string_array(items: &[String]) -> String {
+    let rendered: Vec<String> = items.iter().map(|s| string(s)).collect();
+    format!("[{}]", rendered.join(","))
 }
 
 /// One gate's outcome: whether it was clean, and its JSON rendering
@@ -561,5 +574,17 @@ fn main() -> ExitCode {
             usage();
             ExitCode::from(EXIT_USAGE)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn renders_string_arrays() {
+        let items = vec!["plain".to_string(), "with \"quote\"".to_string()];
+        assert_eq!(string_array(&items), r#"["plain","with \"quote\""]"#);
+        assert_eq!(string_array(&[]), "[]");
     }
 }

@@ -146,7 +146,7 @@ fn hash_order_scope_covers_every_keyword() {
         "crates/telemetry/src/journal.rs",
         "crates/telemetry/src/export.rs",
         "crates/analyze/src/statespace.rs",
-        "crates/analyze/src/jsonout.rs",
+        "crates/telemetry/src/json.rs",
         "crates/chip/src/digest.rs",
         "crates/sim/src/trace.rs",
         "crates/core/src/fingerprint.rs",

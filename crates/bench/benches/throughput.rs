@@ -28,10 +28,11 @@ use avfs_sched::governor::GovernorMode;
 use avfs_sched::process::{Pid, ProcessState};
 use avfs_sched::system::System;
 use avfs_sim::time::{SimDuration, SimTime};
+use avfs_telemetry::json::{self, Json};
 use avfs_workloads::classify::IntensityClass;
 use avfs_workloads::generator::{GeneratorConfig, WorkloadTrace};
 use avfs_workloads::PerfModel;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Smoke gate: fail when a throughput metric drops below this fraction
@@ -324,22 +325,22 @@ fn render_json(m: &Measured) -> String {
     out
 }
 
-/// Pulls `"key": <number>` out of the committed baseline (the report's
-/// key set is static and flat, so a scan beats a JSON parser here).
-fn extract_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Reads `metrics.<key>` from a parsed baseline report.
+fn baseline_metric(baseline: &Json, key: &str) -> Option<f64> {
+    baseline.get("metrics")?.get(key)?.as_f64()
 }
 
-fn smoke(m: &Measured, baseline: &str) -> Result<(), String> {
+/// Reads and parses a baseline report, panicking with its path on failure.
+fn read_baseline(path: &Path) -> Json {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("no baseline at {}: {e}", path.display()));
+    json::parse(&text).unwrap_or_else(|e| panic!("baseline {} is not JSON: {e}", path.display()))
+}
+
+fn smoke(m: &Measured, baseline: &Json) -> Result<(), String> {
     let mut failures = Vec::new();
     for (key, now) in metric_table(m) {
-        let Some(was) = extract_number(baseline, key) else {
+        let Some(was) = baseline_metric(baseline, key) else {
             failures.push(format!("{key}: missing from baseline"));
             continue;
         };
@@ -363,10 +364,10 @@ fn smoke(m: &Measured, baseline: &str) -> Result<(), String> {
 /// `--compare` A/B mode: per-metric deltas against an arbitrary
 /// baseline report (e.g. one written on another branch with
 /// `scripts/bench.sh --write`). Informational — never fails.
-fn compare(m: &Measured, baseline: &str, label: &str) {
+fn compare(m: &Measured, baseline: &Json, label: &str) {
     println!("A/B vs {label}:");
     for (key, now) in metric_table(m) {
-        match extract_number(baseline, key) {
+        match baseline_metric(baseline, key) {
             Some(was) if was > 0.0 => {
                 let delta = (now / was - 1.0) * 100.0;
                 println!("  {key}: {was:.0}/s -> {now:.0}/s ({delta:+.1}%)");
@@ -407,13 +408,9 @@ fn main() {
     print!("{report}");
 
     if let Some(path) = &compare_path {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("no baseline at {}: {e}", path.display()));
-        compare(&m, &baseline, &path.display().to_string());
+        compare(&m, &read_baseline(path), &path.display().to_string());
     } else if smoke_mode {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("no committed {}: {e}", baseline_path.display()));
-        if let Err(failures) = smoke(&m, &baseline) {
+        if let Err(failures) = smoke(&m, &read_baseline(&baseline_path)) {
             eprintln!("bench smoke gate FAILED:\n{failures}");
             std::process::exit(1);
         }

@@ -29,11 +29,10 @@ use avfs_chip::voltage::Millivolts;
 use avfs_core::PolicyTable;
 use avfs_sim::RngStream;
 use avfs_telemetry::{TraceKind, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tuning knobs of one characterization campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// Root seed; every probe decision derives from it.
     pub seed: u64,

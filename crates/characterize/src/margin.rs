@@ -8,14 +8,14 @@
 //! field order, so two campaigns run from the same seed export
 //! byte-identical files and any drift in the engine shows up as a diff.
 
-use serde::{Deserialize, Serialize};
+use avfs_telemetry::json::{self, Json};
 use std::fmt;
 
 /// Format tag written into (and required from) every margin-map header.
 pub const MARGIN_MAP_SCHEMA: &str = "avfs-margin-map/v1";
 
 /// One measured characterization cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarginCell {
     /// Frequency-class row (0 = Divided, 1 = Reduced, 2 = Max).
     pub freq_row: usize,
@@ -41,7 +41,7 @@ pub struct MarginCell {
 }
 
 /// A complete measured margin map for one chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarginMap {
     /// Name of the characterized chip (its spec name).
     pub chip: String,
@@ -82,13 +82,15 @@ impl MarginMap {
     /// in canonical order. Field order is fixed, so identical maps render
     /// identical bytes.
     pub fn to_jsonl(&self) -> String {
+        let mut chip = String::new();
+        json::escape_into(&mut chip, &self.chip);
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"kind\":\"margin-map\",\"schema\":\"{}\",\"chip\":\"{}\",\
+            "{{\"kind\":\"margin-map\",\"schema\":\"{}\",\"chip\":{},\
              \"nominal_mv\":{},\"floor_mv\":{},\"pmds\":{},\"seed\":{},\
              \"confirm_passes\":{},\"cells\":{}}}\n",
             MARGIN_MAP_SCHEMA,
-            escape_json(&self.chip),
+            chip,
             self.nominal_mv,
             self.floor_mv,
             self.pmds,
@@ -120,63 +122,65 @@ impl MarginMap {
     /// # Errors
     ///
     /// Returns [`MarginMapParseError`] on a missing/foreign header, an
-    /// unknown schema, a malformed line, or a cell-count mismatch.
+    /// unknown schema, a line that is not a JSON object of the expected
+    /// kind, a missing or out-of-range integer field, or a cell-count
+    /// mismatch.
     pub fn from_jsonl(text: &str) -> Result<Self, MarginMapParseError> {
-        let err = |line: usize, message: &str| MarginMapParseError {
-            line,
-            message: message.to_string(),
-        };
         let mut lines = text.lines().enumerate();
         let (_, header) = lines
             .next()
-            .ok_or_else(|| err(1, "empty input, expected a margin-map header"))?;
-        if field_str(header, "kind").as_deref() != Some("margin-map") {
-            return Err(err(1, "first line is not a margin-map header"));
+            .ok_or_else(|| parse_err(1, "empty input, expected a margin-map header"))?;
+        let header = parse_line(1, header)?;
+        if header.get("kind").and_then(Json::as_str) != Some("margin-map") {
+            return Err(parse_err(1, "first line is not a margin-map header"));
         }
-        match field_str(header, "schema") {
-            Some(s) if s == MARGIN_MAP_SCHEMA => {}
+        match header.get("schema").and_then(Json::as_str) {
+            Some(MARGIN_MAP_SCHEMA) => {}
             other => {
-                return Err(err(
+                return Err(parse_err(
                     1,
-                    &format!("unsupported schema {other:?}, expected {MARGIN_MAP_SCHEMA:?}"),
+                    format!("unsupported schema {other:?}, expected {MARGIN_MAP_SCHEMA:?}"),
                 ))
             }
         }
-        let chip = field_str(header, "chip").ok_or_else(|| err(1, "header missing chip name"))?;
-        let need = |n: usize, key: &str, line: &str| {
-            field_u64(line, key).ok_or_else(|| err(n, &format!("missing numeric field {key:?}")))
-        };
-        let nominal_mv = need(1, "nominal_mv", header)? as u32;
-        let floor_mv = need(1, "floor_mv", header)? as u32;
-        let pmds = need(1, "pmds", header)? as usize;
-        let seed = need(1, "seed", header)?;
-        let confirm_passes = need(1, "confirm_passes", header)? as u32;
-        let declared = need(1, "cells", header)? as usize;
-        let mut cells = Vec::with_capacity(declared);
+        let chip = header
+            .get("chip")
+            .and_then(Json::as_str)
+            .ok_or_else(|| parse_err(1, "header missing chip name"))?
+            .to_string();
+        let nominal_mv = field(1, &header, "nominal_mv")?;
+        let floor_mv = field(1, &header, "floor_mv")?;
+        let pmds = field(1, &header, "pmds")?;
+        let seed = field(1, &header, "seed")?;
+        let confirm_passes = field(1, &header, "confirm_passes")?;
+        let declared: usize = field(1, &header, "cells")?;
+        // `declared` is untrusted input: grow per line, never reserve it.
+        let mut cells = Vec::new();
         for (idx, line) in lines {
             let n = idx + 1;
             if line.trim().is_empty() {
                 continue;
             }
-            if field_str(line, "kind").as_deref() != Some("cell") {
-                return Err(err(n, "expected a cell line"));
+            let cell = parse_line(n, line)?;
+            if cell.get("kind").and_then(Json::as_str) != Some("cell") {
+                return Err(parse_err(n, "expected a cell line"));
             }
             cells.push(MarginCell {
-                freq_row: need(n, "fc", line)? as usize,
-                droop_index: need(n, "dc", line)? as usize,
-                bucket: need(n, "bucket", line)? as usize,
-                utilized_pmds: need(n, "utilized_pmds", line)? as usize,
-                threads: need(n, "threads", line)? as usize,
-                measured_safe_mv: need(n, "measured_safe_mv", line)? as u32,
-                highest_fail_mv: need(n, "highest_fail_mv", line)? as u32,
-                probes: need(n, "probes", line)?,
-                discarded: need(n, "discarded", line)?,
+                freq_row: field(n, &cell, "fc")?,
+                droop_index: field(n, &cell, "dc")?,
+                bucket: field(n, &cell, "bucket")?,
+                utilized_pmds: field(n, &cell, "utilized_pmds")?,
+                threads: field(n, &cell, "threads")?,
+                measured_safe_mv: field(n, &cell, "measured_safe_mv")?,
+                highest_fail_mv: field(n, &cell, "highest_fail_mv")?,
+                probes: field(n, &cell, "probes")?,
+                discarded: field(n, &cell, "discarded")?,
             });
         }
         if cells.len() != declared {
-            return Err(err(
+            return Err(parse_err(
                 1,
-                &format!(
+                format!(
                     "header declares {declared} cells, file carries {}",
                     cells.len()
                 ),
@@ -194,72 +198,26 @@ impl MarginMap {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+fn parse_err(line: usize, message: impl Into<String>) -> MarginMapParseError {
+    MarginMapParseError {
+        line,
+        message: message.into(),
     }
-    out
 }
 
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(decoded) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(decoded);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
+/// Parses one JSONL line as a JSON document.
+fn parse_line(line: usize, text: &str) -> Result<Json, MarginMapParseError> {
+    json::parse(text).map_err(|e| parse_err(line, e.to_string()))
 }
 
-/// Extracts `"key":<number>` from a single JSON line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
-/// Extracts `"key":"<string>"` from a single JSON line, unescaping it.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    // Walk to the closing quote, skipping escaped characters.
-    let mut end = None;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        match (escaped, c) {
-            (true, _) => escaped = false,
-            (false, '\\') => escaped = true,
-            (false, '"') => {
-                end = Some(i);
-                break;
-            }
-            _ => {}
-        }
-    }
-    Some(unescape_json(&rest[..end?]))
+/// Reads integer field `key` of `doc`, rejecting values that do not fit
+/// the target type instead of truncating them.
+fn field<T: TryFrom<u64>>(line: usize, doc: &Json, key: &str) -> Result<T, MarginMapParseError> {
+    let raw = doc
+        .get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| parse_err(line, format!("missing integer field {key:?}")))?;
+    T::try_from(raw).map_err(|_| parse_err(line, format!("field {key:?} out of range: {raw}")))
 }
 
 #[cfg(test)]
@@ -339,5 +297,36 @@ mod tests {
         map.chip = "odd \"name\" \\ here".to_string();
         let back = MarginMap::from_jsonl(&map.to_jsonl()).expect("escaped");
         assert_eq!(back.chip, map.chip);
+    }
+
+    #[test]
+    fn chip_names_with_control_characters_survive() {
+        let mut map = sample();
+        map.chip = "X\nGene\t\u{1}".to_string();
+        let text = map.to_jsonl();
+        assert!(text.contains(r#""chip":"X\nGene\t\u0001""#), "{text}");
+        let back = MarginMap::from_jsonl(&text).expect("escaped");
+        assert_eq!(back.chip, map.chip);
+    }
+
+    #[test]
+    fn parser_rejects_out_of_range_numbers() {
+        let text = sample().to_jsonl();
+        // 2^32 + 980 would wrap to 980 if narrowed with `as u32`.
+        let wrapped = text.replace("\"nominal_mv\":980", "\"nominal_mv\":4294968276");
+        let err = MarginMap::from_jsonl(&wrapped).expect_err("out of range");
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("nominal_mv"), "{err}");
+        let cell = text.replace(
+            "\"measured_safe_mv\":912",
+            "\"measured_safe_mv\":4294968208",
+        );
+        let err = MarginMap::from_jsonl(&cell).expect_err("out of range");
+        assert_eq!(err.line, 2);
+        // Beyond u64 entirely, and negative: rejected, not wrapped.
+        let huge = text.replace("\"fc\":2", "\"fc\":18446744073709551616");
+        assert!(MarginMap::from_jsonl(&huge).is_err());
+        let negative = text.replace("\"probes\":321", "\"probes\":-321");
+        assert!(MarginMap::from_jsonl(&negative).is_err());
     }
 }

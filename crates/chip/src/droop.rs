@@ -15,11 +15,10 @@
 
 use crate::vmin::DroopClass;
 use avfs_sim::RngStream;
-use serde::{Deserialize, Serialize};
 
 /// Summary of droop events observed over an interval, bucketed by the
 /// Table II magnitude bands.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DroopCounts {
     /// Events per band, indexed like [`DroopClass::index`]:
     /// `[25,35) / [35,45) / [45,55) / [55,65)` mV.
@@ -55,7 +54,7 @@ impl DroopCounts {
 }
 
 /// Droop-event generator parameters for one chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DroopModel {
     /// Expected events per 1 M cycles in the class's own (top) band at
     /// full switching activity.

@@ -19,13 +19,10 @@
 //! [`CppcBehavior`] encodes those two empirical mappings.
 
 use crate::error::ChipError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A clock frequency in MHz.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FrequencyMhz(u32);
 
 impl FrequencyMhz {
@@ -58,7 +55,7 @@ impl From<u32> for FrequencyMhz {
 }
 
 /// A frequency step: `step/8 × fmax`, with `step` in `1..=8`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FreqStep(u8);
 
 impl FreqStep {
@@ -160,7 +157,7 @@ impl fmt::Display for FreqStep {
 ///
 /// Lower classes permit lower safe Vmin; the ordering is
 /// `Max > Reduced > Divided` in required voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FreqVminClass {
     /// Vmin as deep as clock division allows (X-Gene 2 below half speed;
     /// ≈15 % below the max-frequency Vmin).
@@ -183,7 +180,7 @@ impl fmt::Display for FreqVminClass {
 
 /// How a chip's CPPC firmware maps requested steps to Vmin classes and
 /// effective frequencies (§II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum CppcBehavior {
     /// X-Gene 2: above half speed the CPPC interleaving keeps Vmin at the

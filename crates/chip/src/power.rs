@@ -19,10 +19,9 @@
 //! full load; single-digit-watt idle on X-Gene 2).
 
 use crate::voltage::Millivolts;
-use serde::{Deserialize, Serialize};
 
 /// Load description for one PMD over an evaluation interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PmdLoad {
     /// The PMD's effective clock, MHz.
     pub freq_mhz: u32,
@@ -48,7 +47,7 @@ impl PmdLoad {
 }
 
 /// Chip-level inputs for one power evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerInputs {
     /// The rail voltage.
     pub voltage: Millivolts,
@@ -59,7 +58,7 @@ pub struct PowerInputs {
 }
 
 /// Calibrated power-model constants for one chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     /// Nominal voltage the constants were calibrated at.
     pub nominal_mv: u32,

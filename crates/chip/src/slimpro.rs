@@ -8,10 +8,9 @@
 //! software poke the rail directly.
 
 use crate::voltage::Millivolts;
-use serde::{Deserialize, Serialize};
 
 /// A request to the management processor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum MailboxRequest {
     /// Set the PCP rail to the given voltage.
@@ -25,7 +24,7 @@ pub enum MailboxRequest {
 }
 
 /// A response from the management processor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum MailboxResponse {
     /// The voltage request was applied.
@@ -59,7 +58,7 @@ impl MailboxResponse {
 
 /// Statistics the SLIMpro keeps about mailbox traffic; useful for
 /// verifying the daemon is "minimally intrusive" (§VI-A).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MailboxStats {
     /// Total requests processed.
     pub requests: u64,

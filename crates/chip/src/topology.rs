@@ -8,19 +8,14 @@
 //! exists, so they are first-class here.
 
 use crate::freq::FrequencyMhz;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a single CPU core, `0..spec.cores`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(u16);
 
 /// Identifier of a PMD (core pair), `0..spec.pmds()`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PmdId(u16);
 
 impl CoreId {
@@ -72,7 +67,7 @@ impl From<u16> for PmdId {
 }
 
 /// Silicon process of a chip; drives the static-variation magnitudes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Technology {
     /// 28 nm bulk CMOS (X-Gene 2).
@@ -91,7 +86,7 @@ impl fmt::Display for Technology {
 }
 
 /// Static description of a chip (Table I of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipSpec {
     /// Human-readable model name, e.g. `"X-Gene 3"`.
     pub name: String,
@@ -190,9 +185,7 @@ impl ChipSpec {
 ///
 /// Backed by a `u64` bitmask; supports chips up to 64 cores, which covers
 /// both X-Gene parts with room to spare.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize, PartialOrd, Ord,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct CoreSet(u64);
 
 impl CoreSet {

@@ -31,13 +31,12 @@ use avfs_sched::governor::GovernorMode;
 use avfs_sched::process::{Pid, ProcessState};
 use avfs_telemetry::{CounterRegistry, Telemetry, TraceKind, Value};
 use avfs_workloads::classify::IntensityClass;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Daemon tuning knobs; the constructors on [`Daemon`] pick the paper's
 /// values per chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
     /// Steer placement and per-PMD frequency (the Placement part).
     pub control_placement: bool,
@@ -106,7 +105,7 @@ enum Dc {
 /// derived from the daemon's metrics registry (see [`Daemon::stats`]),
 /// not a hand-maintained struct — every field mirrors one
 /// [`DAEMON_COUNTERS`] slot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DaemonStats {
     /// Driver invocations.
     pub invocations: u64,
@@ -182,46 +181,6 @@ impl avfs_sched::Report for DaemonStats {
     /// integers, so textual equality is bit equality.
     fn fingerprint(&self) -> String {
         self.to_string()
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"invocations\":{},\"plans\":{},\"pins\":{},\"voltage_raises\":{},\
-             \"voltage_lowers\":{},\"deferred_pins\":{},\"mailbox_faults\":{},\
-             \"retries\":{},\"backoff_us\":{},\"safe_mode_entries\":{},\
-             \"safe_mode_exits\":{},\"watchdog_fires\":{},\"droop_emergencies\":{}}}",
-            self.invocations,
-            self.plans,
-            self.pins,
-            self.voltage_raises,
-            self.voltage_lowers,
-            self.deferred_pins,
-            self.mailbox_faults,
-            self.retries,
-            self.backoff_us,
-            self.safe_mode_entries,
-            self.safe_mode_exits,
-            self.watchdog_fires,
-            self.droop_emergencies,
-        )
-    }
-
-    fn summary_table(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("invocations", self.invocations.to_string()),
-            ("plans", self.plans.to_string()),
-            ("pins", self.pins.to_string()),
-            ("voltage_raises", self.voltage_raises.to_string()),
-            ("voltage_lowers", self.voltage_lowers.to_string()),
-            ("deferred_pins", self.deferred_pins.to_string()),
-            ("mailbox_faults", self.mailbox_faults.to_string()),
-            ("retries", self.retries.to_string()),
-            ("backoff_us", self.backoff_us.to_string()),
-            ("safe_mode_entries", self.safe_mode_entries.to_string()),
-            ("safe_mode_exits", self.safe_mode_exits.to_string()),
-            ("watchdog_fires", self.watchdog_fires.to_string()),
-            ("droop_emergencies", self.droop_emergencies.to_string()),
-        ]
     }
 }
 
@@ -509,7 +468,7 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Returns [`PolicyError::PmdCountMismatch`] when the table was
+    /// Returns [`crate::policy::PolicyError::PmdCountMismatch`] when the table was
     /// characterized for a different chip shape; the old table stays in
     /// place.
     pub fn swap_table(&mut self, table: PolicyTable) -> Result<(), crate::policy::PolicyError> {

@@ -7,11 +7,9 @@
 //! justification for the daemon's rule "reduce frequency only for
 //! memory-intensive processes".
 
-use serde::{Deserialize, Serialize};
-
 /// Predicted relative effect of running a workload at a fraction of full
 /// frequency (all quantities relative to the full-speed run).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingEstimate {
     /// Delay multiplier (≥ 1 for frequency reductions).
     pub delay: f64,

@@ -58,7 +58,6 @@ pub mod monitor;
 pub mod policy;
 pub mod recharacterize;
 pub mod recovery;
-pub mod service;
 
 pub use configs::EvalConfig;
 pub use daemon::{Daemon, DaemonConfig};

@@ -13,11 +13,9 @@
 //! depends on this crate, not the other way around); the trigger is the
 //! daemon-side scheduling seam.
 
-use serde::{Deserialize, Serialize};
-
 /// Decides when a drifted chip has earned an idle-window
 /// recharacterization pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecharacterizeTrigger {
     /// Consecutive guard-engaged windows required before firing.
     sustain_windows: u32,

@@ -32,11 +32,10 @@
 
 use avfs_sim::rng::RngStream;
 use avfs_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tuning knobs for the recovery machinery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
     /// Consecutive faults (no intervening healthy event) that trip the
     /// safe-mode fallback.
@@ -75,7 +74,7 @@ impl Default for RecoveryConfig {
 }
 
 /// Where the control loop currently stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryState {
     /// Normal operation: full undervolting per the policy table.
     Optimized,

@@ -33,7 +33,6 @@ use avfs_chip::vmin::{DroopClass, VminDrift, VminQuery};
 use avfs_core::daemon::Daemon;
 use avfs_core::recharacterize::RecharacterizeTrigger;
 use avfs_core::PolicyTable;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 
 /// Vmin drift magnitudes swept by the degradation curve, mV.
@@ -62,7 +61,7 @@ fn conservative_extra(machine: Machine) -> u32 {
 }
 
 /// Measured-vs-preset comparison for one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReclaimEntry {
     /// Which machine.
     pub machine: String,
@@ -86,7 +85,7 @@ pub struct ReclaimEntry {
 }
 
 /// One monitor window of the drift drill.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DrillWindow {
     /// Window index.
     pub index: usize,
@@ -107,7 +106,7 @@ pub struct DrillWindow {
 }
 
 /// Drift drill results for one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DrillResults {
     /// Which machine.
     pub machine: String,
@@ -131,7 +130,7 @@ pub struct DrillResults {
 }
 
 /// One point of the drift-degradation curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriftPoint {
     /// Ground-truth drift, mV.
     pub drift_mv: i32,
@@ -144,7 +143,7 @@ pub struct DriftPoint {
 }
 
 /// Stale-table degradation curve for one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DriftCurve {
     /// Which machine.
     pub machine: String,
@@ -153,7 +152,7 @@ pub struct DriftCurve {
 }
 
 /// Everything `exp characterize` produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CharacterizeResults {
     /// Campaign seed.
     pub seed: u64,

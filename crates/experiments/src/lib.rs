@@ -30,7 +30,6 @@ pub mod energy;
 pub mod factors;
 pub mod fleet;
 pub mod fleet_resilience;
-mod json;
 pub mod perfchar;
 pub mod report;
 pub mod resilience;
@@ -38,10 +37,8 @@ pub mod server_eval;
 pub mod tables;
 pub mod telemetry_report;
 
-use serde::{Deserialize, Serialize};
-
 /// Which machine an experiment targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Machine {
     /// 8-core X-Gene 2.
     XGene2,
@@ -86,7 +83,7 @@ impl std::fmt::Display for Machine {
 
 /// Experiment size: full paper-scale campaigns or a fast subset that
 /// exercises the identical code path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// Seconds-scale runs for tests and smoke checks.
     Quick,

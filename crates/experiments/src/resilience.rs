@@ -20,7 +20,6 @@ use avfs_sched::metrics::RunMetrics;
 use avfs_sched::system::{System, SystemConfig};
 use avfs_telemetry::{Telemetry, TraceKind, Value};
 use avfs_workloads::generator::{GeneratorConfig, WorkloadTrace};
-use serde::{Deserialize, Serialize};
 
 /// Fault rates swept by the full experiment.
 pub const FULL_RATES: [f64; 6] = [0.0, 0.01, 0.02, 0.05, 0.10, 0.20];
@@ -30,7 +29,7 @@ pub const FULL_RATES: [f64; 6] = [0.0, 0.01, 0.02, 0.05, 0.10, 0.20];
 pub const SMOKE_RATES: [f64; 2] = [0.0, 0.05];
 
 /// One Optimal-daemon run under an armed fault plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResilienceRun {
     /// Per-operation fault rate of every category.
     pub rate: f64,
@@ -48,7 +47,7 @@ pub struct ResilienceRun {
 }
 
 /// Results of the fault-rate sweep on one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResilienceResults {
     /// Which machine.
     pub machine: String,

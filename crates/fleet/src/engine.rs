@@ -1005,63 +1005,4 @@ impl avfs_sched::Report for FleetSummary {
     fn fingerprint(&self) -> String {
         FleetSummary::fingerprint(self)
     }
-
-    fn to_json(&self) -> String {
-        let a = &self.admission;
-        let r = &self.redispatch;
-        let f = &self.faults;
-        format!(
-            "{{\"policy\":\"{}\",\"nodes\":{},\"submitted\":{},\"admitted\":{},\
-             \"shed\":{},\"completed\":{},\"cluster_energy_j\":{},\
-             \"cluster_makespan_s\":{},\"migrations\":{},\"voltage_changes\":{},\
-             \"failures\":{},\"unsafe_time_s\":{},\"routed_to_fenced\":{},\
-             \"drained\":{},\"reassigned\":{},\"exhausted\":{},\"crashes\":{},\
-             \"stalls\":{},\"degrades\":{},\"duplicate_completions\":{},\"lost_jobs\":{}}}",
-            self.policy,
-            self.nodes.len(),
-            a.submitted,
-            a.admitted,
-            a.shed(),
-            self.completed,
-            self.cluster_energy_j,
-            self.cluster_makespan.as_secs_f64(),
-            self.migrations,
-            self.voltage_changes,
-            self.failures,
-            self.unsafe_time_s,
-            self.routed_to_fenced,
-            r.drained,
-            r.reassigned,
-            r.exhausted,
-            f.crashes,
-            f.stalls,
-            f.degrades,
-            self.duplicate_completions,
-            self.lost_jobs,
-        )
-    }
-
-    fn summary_table(&self) -> Vec<(&'static str, String)> {
-        let a = &self.admission;
-        vec![
-            ("policy", self.policy.to_string()),
-            ("nodes", self.nodes.len().to_string()),
-            ("submitted", a.submitted.to_string()),
-            ("admitted", a.admitted.to_string()),
-            ("shed", a.shed().to_string()),
-            ("completed", self.completed.to_string()),
-            ("cluster_energy_j", format!("{:.3}", self.cluster_energy_j)),
-            (
-                "cluster_makespan_s",
-                format!("{:.3}", self.cluster_makespan.as_secs_f64()),
-            ),
-            ("migrations", self.migrations.to_string()),
-            ("voltage_changes", self.voltage_changes.to_string()),
-            ("failures", self.failures.to_string()),
-            ("unsafe_time_s", format!("{:.3}", self.unsafe_time_s)),
-            ("reassigned", self.redispatch.reassigned.to_string()),
-            ("exhausted", self.redispatch.exhausted.to_string()),
-            ("lost_jobs", self.lost_jobs.to_string()),
-        ]
-    }
 }

@@ -10,13 +10,10 @@ use avfs_chip::topology::CoreSet;
 use avfs_sim::time::SimTime;
 use avfs_workloads::catalog::Benchmark;
 use avfs_workloads::perf::ThreadWork;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Process identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pid(pub u64);
 
 impl fmt::Display for Pid {
@@ -26,7 +23,7 @@ impl fmt::Display for Pid {
 }
 
 /// Lifecycle state of a process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessState {
     /// Admitted but not yet assigned cores (queued).
     Waiting,
@@ -37,7 +34,7 @@ pub enum ProcessState {
 }
 
 /// One simulated process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Process {
     /// Kernel-visible identifier.
     pub pid: Pid,

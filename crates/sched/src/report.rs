@@ -1,17 +1,10 @@
-//! A single result-reporting surface for run artifacts.
+//! The fingerprint surface for run results.
 //!
-//! `exp`, `avfs-analyze --format json`, and the bench harness each used
-//! to hand-roll their own serialization of [`RunMetrics`] (and of the
-//! daemon/fleet summaries in downstream crates). [`Report`] unifies
-//! the three operations every consumer needs: a deterministic
-//! fingerprint for byte-identity comparisons, a flat JSON object for
-//! machine consumption, and labeled rows for human-readable tables.
-//!
-//! All renderings are deterministic by construction: key sets are
-//! static, floats are either formatted with `{}` (shortest round-trip
-//! representation, locale-independent) or digested via `to_bits`, and
-//! collections are traversed in their stored (already deterministic)
-//! order.
+//! [`Report::fingerprint`] is the digest that tests and the benchmark
+//! harness compare to decide whether two runs were byte-identical. It
+//! is deterministic by construction: key sets are static, floats are
+//! digested via `to_bits`, and collections are traversed in their
+//! stored (already deterministic) order.
 
 use crate::metrics::RunMetrics;
 
@@ -23,12 +16,6 @@ pub trait Report {
     /// fingerprints match (floats are compared via `to_bits`, so even
     /// sub-ulp drift is caught).
     fn fingerprint(&self) -> String;
-
-    /// The result as one flat JSON object with a static key set.
-    fn to_json(&self) -> String;
-
-    /// Labeled `(name, value)` rows for a human-readable summary table.
-    fn summary_table(&self) -> Vec<(&'static str, String)>;
 }
 
 impl Report for RunMetrics {
@@ -59,38 +46,6 @@ impl Report for RunMetrics {
             self.unsafe_time_s.to_bits(),
             self.failures,
         )
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"makespan_s\":{},\"energy_j\":{},\"avg_power_w\":{},\"ed2p\":{},\
-             \"completed\":{},\"migrations\":{},\"voltage_changes\":{},\
-             \"unsafe_time_s\":{},\"failures\":{},\"mean_turnaround_s\":{}}}",
-            self.makespan.as_secs_f64(),
-            self.energy_j,
-            self.avg_power_w,
-            self.ed2p(),
-            self.completed.len(),
-            self.migrations,
-            self.voltage_changes,
-            self.unsafe_time_s,
-            self.failures,
-            self.mean_turnaround_s(),
-        )
-    }
-
-    fn summary_table(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("makespan_s", format!("{:.3}", self.makespan.as_secs_f64())),
-            ("energy_j", format!("{:.3}", self.energy_j)),
-            ("avg_power_w", format!("{:.3}", self.avg_power_w)),
-            ("ed2p", format!("{:.3}", self.ed2p())),
-            ("completed", self.completed.len().to_string()),
-            ("migrations", self.migrations.to_string()),
-            ("voltage_changes", self.voltage_changes.to_string()),
-            ("unsafe_time_s", format!("{:.3}", self.unsafe_time_s)),
-            ("failures", self.failures.to_string()),
-        ]
     }
 }
 
@@ -128,21 +83,5 @@ mod tests {
         assert_eq!(Report::fingerprint(&a), Report::fingerprint(&b));
         b.energy_j = f64::from_bits(b.energy_j.to_bits() + 1);
         assert_ne!(Report::fingerprint(&a), Report::fingerprint(&b));
-    }
-
-    #[test]
-    fn json_is_a_flat_object_with_static_keys() {
-        let j = sample().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        for key in ["makespan_s", "energy_j", "completed", "failures"] {
-            assert!(j.contains(&format!("\"{key}\":")), "missing {key} in {j}");
-        }
-    }
-
-    #[test]
-    fn summary_table_rows_match_the_metric_surface() {
-        let rows = sample().summary_table();
-        assert_eq!(rows[0].0, "makespan_s");
-        assert!(rows.iter().any(|(k, v)| *k == "completed" && v == "1"));
     }
 }

@@ -58,8 +58,8 @@ const BUCKET_WIDTH_NS: u64 = 1_000_000;
 ///
 /// - `near`: events before the wheel origin, sorted ascending by
 ///   `(time, seq)` and drained from the front;
-/// - `buckets`: [`NUM_BUCKETS`] unsorted buckets of width
-///   [`BUCKET_WIDTH_NS`]; bucket `i` covers times in
+/// - `buckets`: `NUM_BUCKETS` unsorted buckets of width
+///   `BUCKET_WIDTH_NS`; bucket `i` covers times in
 ///   `[origin + i·w, origin + (i+1)·w)`;
 /// - `overflow`: unsorted events at or past the wheel end.
 ///

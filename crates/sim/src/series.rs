@@ -4,13 +4,11 @@
 //! a fixed cadence, which is how the 1-second power/load traces of
 //! Figures 14 and 15 are produced.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// An append-only series of `(time, value)` samples with non-decreasing
 /// times.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     times: Vec<SimTime>,
     values: Vec<f64>,

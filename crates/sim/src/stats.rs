@@ -6,12 +6,10 @@
 //! * [`Histogram`] — fixed-bin histogram (the droop-magnitude bins of
 //!   Figure 6 and the pfail voltage sweeps of Figure 5).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Welford's online mean/variance plus min/max.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
@@ -121,7 +119,7 @@ impl FromIterator<f64> for OnlineStats {
 ///
 /// Feed it `(time, new_value)` change points; it integrates the previous
 /// value over the elapsed span. Used for average power and average load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeWeighted {
     last_time: SimTime,
     last_value: f64,
@@ -182,7 +180,7 @@ impl TimeWeighted {
 }
 
 /// A fixed-width-bin histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -262,7 +260,7 @@ impl Histogram {
 /// A simple fixed-window moving average over scalar samples.
 ///
 /// Used to render the 1-minute moving average of Figure 15.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MovingAverage {
     window: usize,
     buf: Vec<f64>,

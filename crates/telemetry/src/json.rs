@@ -1,13 +1,21 @@
-//! Minimal JSON reader used by [`crate::report::Table::from_json`].
+//! The workspace's one JSON codec.
 //!
-//! The experiment tables are the only serialized artifact in the
-//! workspace, and their JSON shape is fixed, so a full serde stack is
-//! unnecessary (and the build environment has no crates registry to
-//! fetch one from). This module parses arbitrary well-formed JSON into
-//! a small value tree; numbers keep their raw text so `i64` cells
-//! round-trip exactly.
+//! Every JSON artifact — trace journals, experiment tables, margin
+//! maps, `avfs-analyze --format json` reports — is written with
+//! [`escape_into`] plus fixed-order `format!` templates, and read back
+//! with [`parse`]. The shapes are all fixed, so a small value tree is
+//! enough: numbers keep their raw text so `i64` and `u64` fields
+//! round-trip exactly. Nesting is bounded by [`MAX_DEPTH`], so hostile
+//! input is rejected with a [`JsonError`] rather than exhausting the
+//! stack.
 
 use std::fmt;
+use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`parse`] accepts. The workspace's own
+/// artifacts nest at most five levels (a table cell); the bound exists so
+/// that malformed input cannot overflow the parser's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,6 +61,14 @@ impl Json {
 
     /// Exact integer value, if this is an integral number in `i64` range.
     pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Json::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// Exact integer value, if this is an integral number in `u64` range.
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
             _ => None,
@@ -105,6 +121,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         s: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -126,7 +143,7 @@ pub fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -137,6 +154,8 @@ pub fn escape_into(out: &mut String, s: &str) {
 struct Parser<'a> {
     s: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -177,8 +196,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_keyword("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false").map(|()| Json::Bool(false)),
@@ -187,6 +206,23 @@ impl Parser<'_> {
             Some(_) => Err(JsonError::new("unexpected character", self.pos)),
             None => Err(JsonError::new("unexpected end of input", self.pos)),
         }
+    }
+
+    /// Runs `body` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let result = body(self);
+        self.depth -= 1;
+        result
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -358,6 +394,93 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{TraceEvent, TraceKind, Value};
+    use avfs_sim::time::SimTime;
+    use proptest::prelude::*;
+
+    /// A line from a traced `exp table3` journal.
+    const JOURNAL_LINE: &str = r#"{"seq":1,"t_ns":0,"kind":"replan","actions":5,"recovery":"optimized","droop_guard":false}"#;
+
+    /// JSON punctuation and keywords, so random input reaches the
+    /// parser's deeper states rather than failing on its first byte.
+    const TOKENS: [&str; 18] = [
+        "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "d83d", "0", "-", ".", "e", "true",
+        "null", " ", "\n",
+    ];
+
+    /// Maps a draw onto a char, biased towards what escaping must get
+    /// right: control characters, quotes and backslashes, printable
+    /// ASCII and scalars outside the Basic Multilingual Plane.
+    fn pick_char((class, raw): (u8, u32)) -> char {
+        let code = match class {
+            0 => raw % 0x20,
+            1 => [0x22, 0x5c, 0x7f, 0x2028][raw as usize % 4],
+            2 => 0x20 + raw % 0x60,
+            3 => 0x1_0000 + raw % 0x10_0000,
+            _ => raw % 0x11_0000,
+        };
+        char::from_u32(code).unwrap_or('\u{fffd}')
+    }
+
+    fn pick_token((class, raw): (u8, u32)) -> String {
+        if class < 3 {
+            TOKENS[raw as usize % TOKENS.len()].to_string()
+        } else {
+            pick_char((class, raw)).to_string()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn escape_then_parse_is_identity(draws in collection::vec((0u8..5, any::<u32>()), 0..48)) {
+            let s: String = draws.into_iter().map(pick_char).collect();
+            let mut quoted = String::new();
+            escape_into(&mut quoted, &s);
+            prop_assert_eq!(parse(&quoted), Ok(Json::Str(s)));
+        }
+
+        #[test]
+        fn arbitrary_input_never_panics(draws in collection::vec((0u8..6, any::<u32>()), 0..64)) {
+            let input: String = draws.into_iter().map(pick_token).collect();
+            let _ = parse(&input);
+        }
+
+        #[test]
+        fn truncated_journal_lines_are_errors(
+            draws in collection::vec((0u8..5, any::<u32>()), 0..24),
+            seq in any::<u64>(),
+            t_ns in any::<u64>(),
+        ) {
+            let event = TraceEvent {
+                seq,
+                at: SimTime::from_nanos(t_ns),
+                kind: TraceKind::MailboxFault,
+                fields: vec![
+                    ("error", Value::Text(draws.into_iter().map(pick_char).collect())),
+                    ("power_w", Value::F64(t_ns as f64 / 7.0)),
+                    ("retry", Value::Bool(seq.is_multiple_of(2))),
+                ],
+            };
+            for line in [event.to_json_line().as_str(), JOURNAL_LINE] {
+                prop_assert!(parse(line).is_ok(), "rejected {line}");
+                for (cut, _) in line.char_indices() {
+                    prop_assert!(parse(&line[..cut]).is_err(), "accepted prefix {:?}", &line[..cut]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&over).expect_err("too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_err());
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+    }
 
     #[test]
     fn parses_scalars_and_nesting() {
@@ -377,6 +500,13 @@ mod tests {
         escape_into(&mut quoted, "line\n\"q\" \\ tab\t\u{1}");
         let back = parse(&quoted).unwrap();
         assert_eq!(back.as_str(), Some("line\n\"q\" \\ tab\t\u{1}"));
+    }
+
+    #[test]
+    fn escapes_quotes_backslashes_and_control_chars() {
+        let mut out = String::new();
+        escape_into(&mut out, "a\"b\\c\nd\u{01}");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! is never invoked — no event is built, nothing allocates. That is the
 //! zero-cost guarantee `crates/bench` verifies.
 
+pub mod json;
+
 use avfs_sim::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -103,23 +105,6 @@ impl From<String> for Value {
     }
 }
 
-/// Escapes `s` into `out` as the body of a JSON string literal.
-fn write_json_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 impl Value {
     fn write_json(&self, out: &mut String) {
         match self {
@@ -136,16 +121,8 @@ impl Value {
             Value::Bool(v) => {
                 let _ = write!(out, "{v}");
             }
-            Value::Str(s) => {
-                out.push('"');
-                write_json_escaped(out, s);
-                out.push('"');
-            }
-            Value::Text(s) => {
-                out.push('"');
-                write_json_escaped(out, s);
-                out.push('"');
-            }
+            Value::Str(s) => json::escape_into(out, s),
+            Value::Text(s) => json::escape_into(out, s),
         }
     }
 }
@@ -245,9 +222,8 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Renders the event as one JSON object (no trailing newline). The
-    /// codec is hand-rolled: the workspace's `serde` is an offline
-    /// marker shim (see `shims/serde`).
+    /// Renders the event as one JSON object (no trailing newline),
+    /// escaping strings with [`json::escape_into`].
     pub fn to_json_line(&self) -> String {
         self.to_json_line_tagged(None)
     }
@@ -269,9 +245,9 @@ impl TraceEvent {
             let _ = write!(out, ",\"{name}\":{value}");
         }
         for (name, value) in &self.fields {
-            out.push_str(",\"");
-            write_json_escaped(&mut out, name);
-            out.push_str("\":");
+            out.push(',');
+            json::escape_into(&mut out, name);
+            out.push(':');
             value.write_json(&mut out);
         }
         out.push('}');

@@ -11,11 +11,10 @@
 //! and the L3-access-rate threshold of 3000 per 1 M cycles separates the
 //! two classes exactly as in Figure 9.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The benchmark suite a program belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// NAS Parallel Benchmarks v3.3.1 (OpenMP kernels).
     Npb,
@@ -36,7 +35,7 @@ impl fmt::Display for Suite {
 }
 
 /// One modelled benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum Benchmark {
     // --- NPB v3.3.1 (parallel) ---
@@ -129,7 +128,7 @@ pub enum Benchmark {
 }
 
 /// The modelled properties of one benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchProfile {
     /// Which benchmark this is.
     pub id: Benchmark,

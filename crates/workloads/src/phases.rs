@@ -14,10 +14,9 @@
 //! accounting stays consistent with the catalog.
 
 use crate::catalog::{BenchProfile, Benchmark};
-use serde::{Deserialize, Serialize};
 
 /// One phase of a program's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Progress fraction at which the phase ends (exclusive), `(0, 1]`.
     pub until_progress: f64,

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Full local gate: formatting, clippy, the avfs-analyze checks (domain
-# invariants, source lints, bounded model checking, the policy-domain
-# proof, the measured-margin audit, race exploration), and the test
-# suite.
+# Full local gate: formatting, clippy, rustdoc, the avfs-analyze checks
+# (domain invariants, source lints, bounded model checking, the
+# policy-domain proof, the measured-margin audit, race exploration), and
+# the test suite.
 # Mirrors what CI would run; exits nonzero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -11,10 +11,11 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy"
-# The offline dependency shims under shims/ are checked by build + tests
-# only; clippy gates the real crates. The four warn-level domain lints
-# (unwrap/expect/float-cmp/truncating-cast) stay advisory here because the
-# avfs-analyze lint ratchet below is their enforcement point.
+# The offline dependency shims under shims/ (rand, proptest, criterion)
+# are checked by build + tests only; clippy gates the workspace's own
+# crates. The four warn-level domain lints (unwrap/expect/float-cmp/
+# truncating-cast) stay advisory here because the avfs-analyze lint
+# ratchet below is their enforcement point.
 cargo clippy -q --all-targets \
   -p avfs-sim -p avfs-chip -p avfs-workloads -p avfs-sched \
   -p avfs-core -p avfs-telemetry -p avfs-fleet -p avfs-characterize \
@@ -22,6 +23,9 @@ cargo clippy -q --all-targets \
   -- -D warnings \
   -A clippy::unwrap_used -A clippy::expect_used \
   -A clippy::float_cmp -A clippy::cast-possible-truncation
+
+echo "==> cargo doc (rustdoc warnings, including broken intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
 echo "==> avfs-analyze invariants"
 cargo run -q -p avfs-analyze -- invariants

@@ -9,6 +9,7 @@ use avfs_experiments::{
 use avfs_sched::metrics::RunMetrics;
 use avfs_sched::system::{System, SystemConfig};
 use avfs_sched::Report;
+use avfs_telemetry::json::{self, Json};
 use avfs_telemetry::{Telemetry, TraceKind, Value};
 use avfs_workloads::generator::{GeneratorConfig, WorkloadTrace};
 
@@ -272,4 +273,46 @@ fn concurrent_server_eval_journal_matches_a_sequential_replay() {
     assert!(journal.contains("\"config\":\"Optimal\""), "{journal:.200}");
     assert!(!journal.contains("\"config\":\"Baseline\""));
     assert_eq!(Some(journal), reference.export_jsonl());
+}
+
+#[test]
+fn traced_table3_journal_reads_back_through_the_codec() {
+    const KINDS: [TraceKind; 20] = [
+        TraceKind::Init,
+        TraceKind::MonitorSample,
+        TraceKind::Classification,
+        TraceKind::Replan,
+        TraceKind::ActionDispatch,
+        TraceKind::MailboxCall,
+        TraceKind::MailboxFault,
+        TraceKind::RecoveryTransition,
+        TraceKind::DroopGuard,
+        TraceKind::Watchdog,
+        TraceKind::FleetRoute,
+        TraceKind::FleetShed,
+        TraceKind::NodeFenced,
+        TraceKind::NodeRecovered,
+        TraceKind::NodeDegraded,
+        TraceKind::JobRedispatch,
+        TraceKind::CampaignCell,
+        TraceKind::DriftEvent,
+        TraceKind::TableSwap,
+        TraceKind::Recharacterization,
+    ];
+    let hub = Telemetry::hub();
+    server_eval::table3_4_with_observer(Machine::XGene2, Scale::Quick, 2024, &hub);
+    let journal = hub.export_jsonl().expect("a hub exports its journal");
+    let mut last_seq = None;
+    for line in journal.lines() {
+        let event = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let seq = event.get("seq").and_then(Json::as_u64).expect("seq");
+        assert!(last_seq < Some(seq), "seq {seq} after {last_seq:?}");
+        last_seq = Some(seq);
+        let kind = event.get("kind").and_then(Json::as_str).expect("kind");
+        assert!(
+            KINDS.iter().any(|k| k.as_str() == kind),
+            "unknown kind {kind:?}"
+        );
+    }
+    assert!(last_seq.is_some(), "empty journal");
 }
