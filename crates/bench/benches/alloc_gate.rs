@@ -12,6 +12,12 @@
 //! because its output series is an unbounded accumulator (amortized
 //! growth is inherent to producing output, not to stepping the loop).
 //! Everything else runs at the default paper cadences.
+//!
+//! A second window runs the same system with the scheduler and daemon
+//! sharing one telemetry hub whose ring journal is already full. There
+//! the gate is exact: one allocation per trace record appended (the
+//! record's field `Vec`), and none for counters, histograms or time
+//! stamps.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,7 +26,12 @@ use avfs_chip::presets;
 use avfs_core::daemon::Daemon;
 use avfs_sched::system::{System, SystemConfig};
 use avfs_sim::time::{SimDuration, SimTime};
+use avfs_telemetry::{Telemetry, TelemetryHub};
 use avfs_workloads::{Benchmark, PerfModel};
+
+/// Journal capacity for the hub-on window: small enough that warm-up
+/// fills the ring, so the window measures the full-ring steady state.
+const HUB_RING_CAPACITY: usize = 128;
 
 /// Number of heap allocations since process start (alloc + realloc +
 /// alloc_zeroed; deallocations are free and uncounted).
@@ -54,7 +65,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn main() {
+/// Allocations, events and trace records appended over one measured
+/// window of a run, with `telemetry` shared by the system and daemon.
+struct Window {
+    events: u64,
+    allocs: u64,
+    records: u64,
+}
+
+/// The trace records a hub has appended so far (0 on a null handle).
+fn records(telemetry: &Telemetry) -> u64 {
+    telemetry
+        .with_hub(|hub| hub.journal().last().map_or(0, |e| e.seq + 1))
+        .unwrap_or(0)
+}
+
+fn run_window(telemetry: &Telemetry) -> Window {
     // Long-running mixed workload: six jobs spanning both intensity
     // classes, scaled so none finishes inside the measured window.
     let jobs: [(Benchmark, usize); 6] = [
@@ -68,6 +94,7 @@ fn main() {
 
     let chip = presets::xgene2().build();
     let mut daemon = Daemon::optimal(&chip);
+    daemon.set_telemetry(telemetry.clone());
     // A monitor window well below the paper's 400 ms densifies the
     // gated event stream: every tick is a full monitor-refresh +
     // replan + governor pass, the allocation-riskiest event kind.
@@ -78,6 +105,7 @@ fn main() {
     };
     let mut system = System::builder(chip, PerfModel::xgene2())
         .config(config)
+        .observer(telemetry.clone())
         .build();
 
     let mut st = system.begin_run(&mut daemon);
@@ -85,16 +113,27 @@ fn main() {
         system.inject_arrival(&mut st, &mut daemon, bench, threads, 500.0);
     }
 
-    // Warm-up: settle admissions, classifications, and every scratch
-    // buffer's capacity.
+    // Warm-up: settle admissions, classifications, every scratch
+    // buffer's capacity and, with a hub, every metric name and the ring.
     system.step_until(&mut st, &mut daemon, SimTime::from_secs(10));
+    if let Some(dropped) = telemetry.with_hub(TelemetryHub::dropped) {
+        assert!(dropped > 0, "the ring must be full before the window");
+    }
 
     let events_before = st.iterations();
+    let records_before = records(telemetry);
     let allocs_before = ALLOCS.load(Ordering::Relaxed);
     system.step_until(&mut st, &mut daemon, SimTime::from_secs(70));
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-    let events = st.iterations() - events_before;
+    Window {
+        events: st.iterations() - events_before,
+        allocs,
+        records: records(telemetry) - records_before,
+    }
+}
 
+fn main() {
+    let Window { events, allocs, .. } = run_window(&Telemetry::null());
     println!("alloc gate: {events} events, {allocs} allocations in steady state");
     assert!(
         events > 1_000,
@@ -105,4 +144,22 @@ fn main() {
         "steady-state event loop allocated {allocs} times over {events} events"
     );
     println!("alloc gate passed: zero allocations per event in steady state");
+
+    // Hub on, ring full: each trace record's field `Vec` is the only
+    // allocation; counters, histograms and time stamps allocate nothing.
+    let Window {
+        events,
+        allocs,
+        records,
+    } = run_window(&Telemetry::hub_with_capacity(HUB_RING_CAPACITY));
+    println!("alloc gate (hub on): {events} events, {records} trace records, {allocs} allocations");
+    assert!(
+        events > 1_000 && records > 1_000,
+        "hub window too small to be a meaningful gate ({events} events, {records} records)"
+    );
+    assert_eq!(
+        allocs, records,
+        "hub-on event loop allocated {allocs} times for {records} trace records"
+    );
+    println!("alloc gate passed: one allocation per trace record with the hub on");
 }

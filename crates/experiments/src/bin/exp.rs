@@ -47,7 +47,7 @@ use avfs_experiments::{
     ablations, characterization, characterize, droops, energy, factors, fleet, fleet_resilience,
     perfchar, resilience, server_eval, tables, telemetry_report, Machine, Scale,
 };
-use avfs_telemetry::Telemetry;
+use avfs_telemetry::{Telemetry, TelemetryHub};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -213,8 +213,9 @@ fn run_traced(
         let jsonl = telemetry.export_jsonl().unwrap_or_default();
         std::fs::write(path, &jsonl)
             .map_err(|e| format!("cannot write trace to {}: {e}", path.display()))?;
+        let dropped = telemetry.with_hub(TelemetryHub::dropped).unwrap_or(0);
         eprintln!(
-            "trace journal: {} events -> {}",
+            "trace journal: {} events ({dropped} dropped) -> {}",
             jsonl.lines().count(),
             path.display()
         );

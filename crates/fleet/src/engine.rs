@@ -685,8 +685,13 @@ impl Fleet {
         let mut ledger = CompletionLedger::new();
         let admitted_ids = self.admitted_ids;
         let exhausted_ids = self.exhausted_ids;
-        let mut journal = String::new();
-        let coordinator_journal = self.telemetry.export_jsonl();
+        // The coordinator's journal, then each node's tagged with its id,
+        // all written into one buffer.
+        let mut journal = self.telemetry.with_hub(|h| {
+            let mut out = String::new();
+            h.write_jsonl(&mut out, None);
+            out
+        });
         for mut node in self.nodes {
             let metrics = node.system.finish_run(node.st);
             for rec in &metrics.completed {
@@ -705,11 +710,9 @@ impl Fleet {
             if let Some(ds) = &daemon {
                 add_stats(&mut summary.daemon, ds);
             }
-            if let Some(tagged) = node
-                .telemetry
-                .with_hub(|h| h.export_jsonl_tagged("node", u64::from(node.id.0)))
-            {
-                journal.push_str(&tagged);
+            if let Some(out) = journal.as_mut() {
+                node.telemetry
+                    .with_hub(|h| h.write_jsonl(out, Some(("node", u64::from(node.id.0)))));
             }
             summary.nodes.push(NodeSummary {
                 id: node.id,
@@ -730,9 +733,7 @@ impl Fleet {
         }
         summary.duplicate_completions = ledger.duplicates();
         summary.lost_jobs = ledger.lost(&admitted_ids, &exhausted_ids);
-        if let Some(cj) = coordinator_journal {
-            summary.journal = Some(format!("{cj}{journal}"));
-        }
+        summary.journal = journal;
         summary
     }
 }

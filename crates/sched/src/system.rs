@@ -502,14 +502,14 @@ impl System {
             self.live_processes() == 0,
             "begin_run() requires a fresh system; use a new System per run"
         );
-        let mut st = RunState {
+        let st = RunState {
             metrics: RunMetrics::default(),
             next_monitor: self.now + self.config.monitor_interval,
             next_sample: self.now,
             last_finish: self.now,
             iterations: 0,
         };
-        self.dispatch(driver, SysEvent::MonitorTick, &mut st.metrics);
+        self.dispatch(driver, SysEvent::MonitorTick);
         self.apply_governor();
         st
     }
@@ -517,16 +517,18 @@ impl System {
     /// Submits a job mid-run as if it arrived from a trace at the current
     /// simulation time: the driver sees [`SysEvent::ProcessArrived`],
     /// admission runs, and the governor is re-applied. Returns the pid.
+    /// `_st` marks the call as part of a run begun with
+    /// [`Self::begin_run`]; an arrival itself changes no run state.
     pub fn inject_arrival(
         &mut self,
-        st: &mut RunState,
+        _st: &mut RunState,
         driver: &mut dyn Driver,
         bench: avfs_workloads::Benchmark,
         threads: usize,
         scale: f64,
     ) -> Pid {
         let pid = self.submit(bench, threads, scale);
-        self.dispatch(driver, SysEvent::ProcessArrived(pid), &mut st.metrics);
+        self.dispatch(driver, SysEvent::ProcessArrived(pid));
         self.try_admit();
         self.apply_governor();
         pid
@@ -573,7 +575,7 @@ impl System {
             let next = next.max(self.now);
 
             // Integrate the slice [now, next).
-            self.advance_to(next, &conds, &mut st.metrics);
+            self.advance_to(next, &conds);
             self.scratch.conds = conds;
         }
     }
@@ -607,7 +609,7 @@ impl System {
             }
             assert!(next < SimTime::MAX, "simulation stuck with no next event");
             let next = next.max(self.now);
-            self.advance_to(next, &conds, &mut st.metrics);
+            self.advance_to(next, &conds);
             self.scratch.conds = conds;
         }
     }
@@ -660,7 +662,7 @@ impl System {
             st.metrics.completed.push(record);
             st.last_finish = self.now;
             self.monitors.remove(&pid);
-            self.dispatch(driver, SysEvent::ProcessFinished(pid), &mut st.metrics);
+            self.dispatch(driver, SysEvent::ProcessFinished(pid));
             self.try_admit();
             self.apply_governor();
             // Every observer filters on the Finished state, so dropping
@@ -681,7 +683,7 @@ impl System {
                 plan.droop_check();
             }
             self.close_monitor_windows();
-            self.dispatch(driver, SysEvent::MonitorTick, &mut st.metrics);
+            self.dispatch(driver, SysEvent::MonitorTick);
             let changes = std::mem::take(&mut self.scratch.class_changes);
             for &(pid, class) in &changes {
                 self.telemetry.trace(TraceKind::Classification, || {
@@ -696,7 +698,7 @@ impl System {
                         ),
                     ]
                 });
-                self.dispatch(driver, SysEvent::ClassChanged(pid, class), &mut st.metrics);
+                self.dispatch(driver, SysEvent::ClassChanged(pid, class));
             }
             self.scratch.class_changes = changes;
             self.apply_governor();
@@ -791,7 +793,7 @@ impl System {
     /// request/response loop a real daemon runs against the mailbox.
     /// With no fault plan armed, no notice is ever produced and this is
     /// exactly the old consult-once path.
-    fn dispatch(&mut self, driver: &mut dyn Driver, event: SysEvent, metrics: &mut RunMetrics) {
+    fn dispatch(&mut self, driver: &mut dyn Driver, event: SysEvent) {
         self.telemetry.advance_to(self.now);
         self.telemetry.counter_inc("sched.events");
         let mut view = match self.scratch.view.take() {
@@ -815,7 +817,7 @@ impl System {
         let mut notices = std::mem::take(&mut self.scratch.notices);
         let mut next = std::mem::take(&mut self.scratch.notices_next);
         notices.clear();
-        self.apply_actions_into(&acts, metrics, &mut notices);
+        self.apply_actions_into(&acts, &mut notices);
         for _ in 0..FAULT_FEEDBACK_ROUNDS {
             if notices.is_empty() {
                 break;
@@ -825,7 +827,7 @@ impl System {
                 self.telemetry.counter_inc("sched.fault_feedback_events");
                 self.fill_view(&mut view);
                 let acts = driver.on_event(&view, &SysEvent::OperationFault(notice));
-                self.apply_actions_into(&acts, metrics, &mut next);
+                self.apply_actions_into(&acts, &mut next);
             }
             std::mem::swap(&mut notices, &mut next);
         }
@@ -1026,7 +1028,7 @@ impl System {
 
     /// Integrates state forward to `target` (progress, energy, PMU,
     /// droops, safety accounting).
-    fn advance_to(&mut self, target: SimTime, conds: &[(Pid, Cond)], metrics: &mut RunMetrics) {
+    fn advance_to(&mut self, target: SimTime, conds: &[(Pid, Cond)]) {
         if target <= self.now {
             return;
         }
@@ -1051,7 +1053,6 @@ impl System {
         }
 
         // Progress + PMU.
-        let mut chip_cycles_at_fmax = 0u64;
         let mut activity_sum = 0.0;
         let mut active_threads = 0usize;
         let use_memo = self.change_point_integration;
@@ -1133,7 +1134,7 @@ impl System {
                 .vmin_model()
                 .droop_class(self.scratch.slice.utilized);
             let mean_act = activity_sum / active_threads as f64;
-            chip_cycles_at_fmax = (self.chip.spec().fmax_mhz as f64 * 1e6 * dt) as u64;
+            let chip_cycles_at_fmax = (self.chip.spec().fmax_mhz as f64 * 1e6 * dt) as u64;
             let counts = self.chip.droop_model().sample(
                 class,
                 mean_act,
@@ -1142,8 +1143,6 @@ impl System {
             );
             self.chip.pmu_mut().record_droops(&counts);
         }
-        let _ = chip_cycles_at_fmax;
-        let _ = metrics;
 
         self.now = target;
     }
@@ -1199,13 +1198,7 @@ impl System {
     /// write is synchronous, so a raise that never landed must gate the
     /// reconfiguration it was meant to cover (the fail-safe ordering
     /// survives injected faults precisely because of this cut).
-    fn apply_actions_into(
-        &mut self,
-        actions: &[Action],
-        metrics: &mut RunMetrics,
-        notices: &mut Vec<FaultNotice>,
-    ) {
-        let _ = metrics;
+    fn apply_actions_into(&mut self, actions: &[Action], notices: &mut Vec<FaultNotice>) {
         for action in actions {
             match *action {
                 Action::PinProcess(pid, cores) => {

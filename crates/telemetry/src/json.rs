@@ -2,8 +2,8 @@
 //!
 //! Every JSON artifact — trace journals, experiment tables, margin
 //! maps, `avfs-analyze --format json` reports — is written with
-//! [`escape_into`] plus fixed-order `format!` templates, and read back
-//! with [`parse`]. The shapes are all fixed, so a small value tree is
+//! [`escape_into`] plus fixed-order templates (`format!`, or direct
+//! pushes for the trace journal), and read back with [`parse`]. The shapes are all fixed, so a small value tree is
 //! enough: numbers keep their raw text so `i64` and `u64` fields
 //! round-trip exactly. Nesting is bounded by [`MAX_DEPTH`], so hostile
 //! input is rejected with a [`JsonError`] rather than exhausting the
@@ -132,8 +132,27 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     Ok(value)
 }
 
-/// Appends `s` to `out` as a quoted JSON string with escapes.
+/// Appends `s` to `out` as a quoted JSON string with escapes. A string
+/// with no byte to escape — every name and label the workspace records —
+/// is pushed whole.
 pub fn escape_into(out: &mut String, s: &str) {
+    if s.bytes().any(needs_escape) {
+        escape_chars_into(out, s);
+    } else {
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
+    }
+}
+
+/// True for the bytes [`escape_chars_into`] rewrites. Multi-byte UTF-8
+/// sequences are all `>= 0x80`, so a byte test decides per char.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The char-by-char escaper behind [`escape_into`].
+fn escape_chars_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -437,6 +456,15 @@ mod tests {
             let mut quoted = String::new();
             escape_into(&mut quoted, &s);
             prop_assert_eq!(parse(&quoted), Ok(Json::Str(s)));
+        }
+
+        #[test]
+        fn escape_fast_path_equals_the_char_escaper(draws in collection::vec((0u8..5, any::<u32>()), 0..48)) {
+            let s: String = draws.into_iter().map(pick_char).collect();
+            let (mut fast, mut slow) = (String::new(), String::new());
+            escape_into(&mut fast, &s);
+            escape_chars_into(&mut slow, &s);
+            prop_assert_eq!(fast, slow);
         }
 
         #[test]

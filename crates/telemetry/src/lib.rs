@@ -9,8 +9,9 @@
 //!   propagated from the simulator via [`Observer::advance_to`]. Two
 //!   identical seeded runs therefore produce byte-identical journals.
 //! * **Static metric names.** Counters, gauges and histograms are keyed
-//!   by `&'static str` and stored in `BTreeMap`s, so snapshots and
-//!   exports iterate in a stable order independent of insertion history.
+//!   by `&'static str`; [`TelemetryHub::snapshot`] returns them sorted by
+//!   name, so snapshots iterate in a stable order independent of
+//!   insertion history.
 //! * **Bounded memory.** The trace journal is a ring of fixed capacity;
 //!   overflow drops the *oldest* events and counts the drops, so a long
 //!   run can always keep tracing.
@@ -28,10 +29,15 @@ use avfs_sim::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default capacity of the hub's ring journal, in events.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 65_536;
+
+/// Bytes reserved per journal line before an export writes it: a little
+/// above the typical line, so one reservation usually covers the export.
+const LINE_BYTES_HINT: usize = 112;
 
 /// Bucket upper bounds (inclusive) shared by every histogram. Decade
 /// buckets cover everything the workspace observes — action counts per
@@ -108,22 +114,40 @@ impl From<String> for Value {
 impl Value {
     fn write_json(&self, out: &mut String) {
         match self {
-            Value::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Value::U64(v) => push_u64(out, *v),
             Value::I64(v) => {
-                let _ = write!(out, "{v}");
+                if *v < 0 {
+                    out.push('-');
+                }
+                push_u64(out, v.unsigned_abs());
             }
+            // `Display` is the one float format every journal was written
+            // with; it is kept so exports stay byte-identical.
             Value::F64(v) if v.is_finite() => {
                 let _ = write!(out, "{v}");
             }
             Value::F64(_) => out.push_str("null"),
-            Value::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
             Value::Str(s) => json::escape_into(out, s),
             Value::Text(s) => json::escape_into(out, s),
         }
+    }
+}
+
+/// Appends the decimal digits of `v`, without `fmt`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    if let Ok(text) = std::str::from_utf8(&digits[start..]) {
+        out.push_str(text);
     }
 }
 
@@ -233,25 +257,35 @@ impl TraceEvent {
     /// fleet journal) to tag each line with its source without touching
     /// the recorded event.
     pub fn to_json_line_tagged(&self, tag: Option<(&'static str, u64)>) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"t_ns\":{},\"kind\":\"{}\"",
-            self.seq,
-            self.at.as_nanos(),
-            self.kind.as_str()
-        );
+        let mut out = String::with_capacity(LINE_BYTES_HINT);
+        self.write_json_line(&mut out, tag);
+        out
+    }
+
+    /// Appends [`Self::to_json_line_tagged`]'s line to `out` (no trailing
+    /// newline). The fixed keys, integers and bools are pushed directly;
+    /// only finite floats go through `fmt`.
+    pub fn write_json_line(&self, out: &mut String, tag: Option<(&'static str, u64)>) {
+        out.push_str("{\"seq\":");
+        push_u64(out, self.seq);
+        out.push_str(",\"t_ns\":");
+        push_u64(out, self.at.as_nanos());
+        out.push_str(",\"kind\":\"");
+        out.push_str(self.kind.as_str());
+        out.push('"');
         if let Some((name, value)) = tag {
-            let _ = write!(out, ",\"{name}\":{value}");
+            out.push_str(",\"");
+            out.push_str(name);
+            out.push_str("\":");
+            push_u64(out, value);
         }
         for (name, value) in &self.fields {
             out.push(',');
-            json::escape_into(&mut out, name);
+            json::escape_into(out, name);
             out.push(':');
-            value.write_json(&mut out);
+            value.write_json(out);
         }
         out.push('}');
-        out
     }
 }
 
@@ -371,15 +405,40 @@ impl MetricsSnapshot {
     }
 }
 
+/// One metric registry: a few dozen `(name, value)` pairs in first-use
+/// order. A linear scan by name address beats a map at this size, since
+/// every call site passes the same literal; names equal in content but
+/// stored at different addresses still share one slot.
+type Registry<T> = Vec<(&'static str, T)>;
+
+/// The slot for `name` in `registry`, created at `T::default()` on first
+/// use.
+fn slot<'r, T: Default>(registry: &'r mut Registry<T>, name: &'static str) -> &'r mut T {
+    let found = registry
+        .iter()
+        .position(|(n, _)| std::ptr::eq(*n, name))
+        .or_else(|| registry.iter().position(|(n, _)| *n == name));
+    let idx = found.unwrap_or_else(|| {
+        registry.push((name, T::default()));
+        registry.len() - 1
+    });
+    &mut registry[idx].1
+}
+
+/// A registry's pairs sorted by name.
+fn sorted<T: Clone>(registry: &Registry<T>) -> BTreeMap<&'static str, T> {
+    registry.iter().cloned().collect()
+}
+
 /// The standard observer: metric registries plus a bounded ring journal
 /// of trace events, exportable as JSONL.
 #[derive(Debug)]
 pub struct TelemetryHub {
     now: SimTime,
     next_seq: u64,
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    counters: Registry<u64>,
+    gauges: Registry<i64>,
+    histograms: Registry<Histogram>,
     journal: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
@@ -403,9 +462,9 @@ impl TelemetryHub {
         TelemetryHub {
             now: SimTime::ZERO,
             next_seq: 0,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            histograms: Vec::new(),
             journal: VecDeque::with_capacity(capacity.min(4096)),
             capacity: capacity.max(1),
             dropped: 0,
@@ -427,23 +486,20 @@ impl TelemetryHub {
         self.journal.iter()
     }
 
-    /// Copies the metric registries out.
+    /// Copies the metric registries out, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
+            counters: sorted(&self.counters),
+            gauges: sorted(&self.gauges),
+            histograms: sorted(&self.histograms),
         }
     }
 
     /// Renders the whole journal as JSONL (one event per line, trailing
     /// newline). Byte-identical across identical seeded runs.
     pub fn export_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.journal.len() * 96);
-        for event in &self.journal {
-            out.push_str(&event.to_json_line());
-            out.push('\n');
-        }
+        let mut out = String::new();
+        self.write_jsonl(&mut out, None);
         out
     }
 
@@ -451,12 +507,20 @@ impl TelemetryHub {
     /// field (e.g. `"node":3`) so journals from several hubs can be
     /// concatenated without losing provenance.
     pub fn export_jsonl_tagged(&self, name: &'static str, value: u64) -> String {
-        let mut out = String::with_capacity(self.journal.len() * 96);
+        let mut out = String::new();
+        self.write_jsonl(&mut out, Some((name, value)));
+        out
+    }
+
+    /// Appends the journal's JSONL to `out`, every line tagged with `tag`
+    /// as in [`TraceEvent::write_json_line`]. Several hubs can write one
+    /// buffer in turn.
+    pub fn write_jsonl(&self, out: &mut String, tag: Option<(&'static str, u64)>) {
+        out.reserve(self.journal.len() * LINE_BYTES_HINT);
         for event in &self.journal {
-            out.push_str(&event.to_json_line_tagged(Some((name, value))));
+            event.write_json_line(out, tag);
             out.push('\n');
         }
-        out
     }
 }
 
@@ -470,15 +534,15 @@ impl Observer for TelemetryHub {
     }
 
     fn counter_add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+        *slot(&mut self.counters, name) += delta;
     }
 
     fn gauge_set(&mut self, name: &'static str, value: i64) {
-        self.gauges.insert(name, value);
+        *slot(&mut self.gauges, name) = value;
     }
 
     fn histogram_observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().observe(value);
+        slot(&mut self.histograms, name).observe(value);
     }
 
     fn record(&mut self, kind: TraceKind, fields: Vec<(&'static str, Value)>) {
@@ -497,8 +561,20 @@ impl Observer for TelemetryHub {
     }
 }
 
+/// A hub shared by every clone of a [`Telemetry`] handle.
+struct SharedHub {
+    hub: Mutex<TelemetryHub>,
+    /// A copy of the hub's clock in ns, stored under the lock after every
+    /// advance. The hub's clock never goes back, so it is always at or
+    /// past this copy, and an [`Telemetry::advance_to`] to a time the
+    /// copy has reached would be a no-op: it returns without locking.
+    /// The copy publishes no other data and a stale read only means
+    /// taking the lock, so `Relaxed` suffices.
+    now_ns: AtomicU64,
+}
+
 enum Sink {
-    Hub(Arc<Mutex<TelemetryHub>>),
+    Hub(Arc<SharedHub>),
     Custom(Arc<Mutex<Box<dyn Observer>>>),
 }
 
@@ -557,9 +633,10 @@ impl Telemetry {
     /// A handle over a fresh shared hub with the given journal capacity.
     pub fn hub_with_capacity(capacity: usize) -> Self {
         Telemetry {
-            sink: Some(Sink::Hub(Arc::new(Mutex::new(
-                TelemetryHub::with_capacity(capacity),
-            )))),
+            sink: Some(Sink::Hub(Arc::new(SharedHub {
+                hub: Mutex::new(TelemetryHub::with_capacity(capacity)),
+                now_ns: AtomicU64::new(0),
+            }))),
         }
     }
 
@@ -580,14 +657,28 @@ impl Telemetry {
     fn with_observer(&self, f: impl FnOnce(&mut dyn Observer)) {
         match &self.sink {
             None => {}
-            Some(Sink::Hub(hub)) => f(&mut *lock_unpoisoned(hub)),
+            Some(Sink::Hub(shared)) => f(&mut *lock_unpoisoned(&shared.hub)),
             Some(Sink::Custom(obs)) => f(lock_unpoisoned(obs).as_mut()),
         }
     }
 
-    /// Propagates simulated time to the observer.
+    /// Propagates simulated time to the observer. On a hub, a time the
+    /// hub's clock has already reached would change nothing (the clock
+    /// only moves forward) and takes no lock; a custom observer gets
+    /// every call.
     pub fn advance_to(&self, at: SimTime) {
-        self.with_observer(|obs| obs.advance_to(at));
+        match &self.sink {
+            None => {}
+            Some(Sink::Hub(shared)) => {
+                if shared.now_ns.load(Ordering::Relaxed) >= at.as_nanos() {
+                    return;
+                }
+                let mut hub = lock_unpoisoned(&shared.hub);
+                hub.advance_to(at);
+                shared.now_ns.store(hub.now.as_nanos(), Ordering::Relaxed);
+            }
+            Some(Sink::Custom(obs)) => lock_unpoisoned(obs).advance_to(at),
+        }
     }
 
     /// Adds `delta` to the named monotone counter.
@@ -622,7 +713,7 @@ impl Telemetry {
     /// Returns `None` for null and custom handles.
     pub fn with_hub<R>(&self, f: impl FnOnce(&TelemetryHub) -> R) -> Option<R> {
         match &self.sink {
-            Some(Sink::Hub(hub)) => Some(f(&lock_unpoisoned(hub))),
+            Some(Sink::Hub(shared)) => Some(f(&lock_unpoisoned(&shared.hub))),
             _ => None,
         }
     }

@@ -10,7 +10,9 @@
 #                                     any throughput metric more than 20%
 #                                     below the baseline fails the run
 #   scripts/bench.sh --alloc-gate     counting-allocator steady-state gate:
-#                                     asserts zero allocations per event
+#                                     asserts zero allocations per event,
+#                                     and one per trace record with a
+#                                     telemetry hub attached
 #   scripts/bench.sh --compare FILE   A/B mode: measure, then print
 #                                     per-metric deltas vs FILE (a report
 #                                     written earlier with --write)
